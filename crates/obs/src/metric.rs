@@ -102,10 +102,20 @@ impl Histogram {
 
     /// Records one observation of `value`.
     pub fn record(&self, value: u64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` observations of `value` at once. Counts, sum, min and
+    /// max end exactly as after `n` calls to [`Histogram::record`], so a
+    /// caller can tally in plain integers and record once.
+    pub fn record_n(&self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let s = &self.state;
         let bucket = s.edges.partition_point(|&edge| edge < value);
-        s.counts[bucket].fetch_add(1, Ordering::Relaxed);
-        saturating_fetch_add(&s.sum, value);
+        s.counts[bucket].fetch_add(n, Ordering::Relaxed);
+        saturating_fetch_add(&s.sum, value.saturating_mul(n));
         s.min.fetch_min(value, Ordering::Relaxed);
         s.max.fetch_max(value, Ordering::Relaxed);
     }
@@ -179,8 +189,14 @@ impl Span {
 
     /// Records one entry of `duration` time units.
     pub fn record(&self, duration: u64) {
-        saturating_fetch_add(&self.state.total, duration);
-        self.state.entries.fetch_add(1, Ordering::Relaxed);
+        self.record_entries(duration, 1);
+    }
+
+    /// Records `entries` entries whose durations sum to `total` at once;
+    /// the span ends exactly as after recording each entry on its own.
+    pub fn record_entries(&self, total: u64, entries: u64) {
+        saturating_fetch_add(&self.state.total, total);
+        self.state.entries.fetch_add(entries, Ordering::Relaxed);
     }
 
     /// Times `f` on the wall clock and records the elapsed nanoseconds.
@@ -280,6 +296,65 @@ mod tests {
         s.record(250);
         assert_eq!(s.total(), 350);
         assert_eq!(s.entries(), 2);
+    }
+
+    #[test]
+    fn histogram_bulk_record_matches_single_records() {
+        let single = Histogram::new(&[10, 20, 30]);
+        let bulk = Histogram::new(&[10, 20, 30]);
+        for (v, n) in [
+            (7, 1),
+            (0, 3),
+            (20, 4),
+            (31, 2),
+            (1 << 63, 2),
+            (u64::MAX, 3),
+        ] {
+            for _ in 0..n {
+                single.record(v);
+            }
+            bulk.record_n(v, n);
+            assert_eq!(bulk.counts(), single.counts(), "after ({v}, {n})");
+            assert_eq!(
+                (bulk.sum(), bulk.min(), bulk.max()),
+                (single.sum(), single.min(), single.max())
+            );
+        }
+        assert_eq!(bulk.sum(), u64::MAX, "the sum saturates as it does singly");
+    }
+
+    #[test]
+    fn histogram_bulk_record_of_nothing_changes_nothing() {
+        let h = Histogram::new(&[10]);
+        h.record_n(5, 0);
+        assert_eq!((h.count(), h.sum(), h.min(), h.max()), (0, 0, 0, 0));
+        h.record(7);
+        h.record_n(1, 0);
+        h.record_n(100, 0);
+        assert_eq!((h.count(), h.sum(), h.min(), h.max()), (1, 7, 7, 7));
+    }
+
+    #[test]
+    fn span_bulk_record_matches_single_records() {
+        let single = Span::new();
+        let bulk = Span::new();
+        let groups: [&[u64]; 4] = [&[], &[5], &[100, 250, 3], &[1 << 63, 1 << 63]];
+        for group in groups {
+            for &d in group {
+                single.record(d);
+            }
+            let total = group.iter().fold(0u64, |a, &d| a.saturating_add(d));
+            bulk.record_entries(total, group.len() as u64);
+            assert_eq!(
+                (bulk.total(), bulk.entries()),
+                (single.total(), single.entries())
+            );
+        }
+        assert_eq!(
+            bulk.total(),
+            u64::MAX,
+            "the total saturates as it does singly"
+        );
     }
 
     #[test]

@@ -279,8 +279,18 @@ pub fn simulate_parallel_loop_with_metrics(
         obs::Domain::Virtual,
         &crate::forloop::CHUNK_SIZE_EDGES,
     );
-    for chunk in assignment.iter().flatten() {
-        chunk_sizes.record(chunk.len() as u64);
+    // One bulk record per run of equal chunk sizes.
+    let mut sizes = assignment
+        .iter()
+        .flatten()
+        .map(|c| c.len() as u64)
+        .peekable();
+    while let Some(size) = sizes.next() {
+        let mut n = 1;
+        while sizes.next_if_eq(&size).is_some() {
+            n += 1;
+        }
+        chunk_sizes.record_n(size, n);
     }
     let iterations_per_thread: Vec<usize> = assignment
         .iter()

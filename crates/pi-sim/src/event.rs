@@ -1,249 +1,12 @@
-//! Discrete-event queue with deterministic ordering.
+//! Virtual time and the deterministic event kernel.
 //!
-//! Events fire in (time, sequence) order: ties on virtual time resolve by
-//! insertion order, so simulations are reproducible bit-for-bit.
-//!
-//! The queue is an *indexed calendar queue* (timer wheel) rather than a
-//! binary heap. Simulation events are overwhelmingly scheduled a bounded
-//! distance into the future (at most one scheduler quantum plus a few
-//! operation latencies), so they land in a circular array of time
-//! buckets indexed by `time / BUCKET_WIDTH mod NUM_BUCKETS`. A bitmap
-//! over the buckets makes "find the next non-empty bucket" a handful of
-//! word scans, giving O(1)-amortised push/pop with no per-event
-//! comparisons against unrelated events. The rare event scheduled past
-//! the wheel's horizon falls back to a time-indexed ordered map and is
-//! popped by direct (time, seq) comparison against the wheel's minimum,
-//! so far-future scheduling stays correct without any migration pass.
-
-use std::collections::{BTreeMap, VecDeque};
+//! [`Cycles`] is the simulators' clock. [`Kernel`] drives a set of
+//! [`Component`]s under it: each step delivers the tick of the component
+//! due first, ties going to the earliest registered, so a run is a pure
+//! function of its components.
 
 /// Virtual time in cycles.
 pub type Cycles = u64;
-
-/// log2 of the width of one wheel bucket in cycles.
-const BUCKET_SHIFT: u32 = 7;
-/// Number of buckets in the wheel; the horizon is
-/// `NUM_BUCKETS << BUCKET_SHIFT` = 262 144 cycles, comfortably past the
-/// default scheduler quantum plus per-slice overheads.
-const NUM_BUCKETS: usize = 2048;
-/// Bitmap words covering the buckets (64 buckets per word).
-const NUM_WORDS: usize = NUM_BUCKETS / 64;
-
-/// An entry in the event queue.
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    time: Cycles,
-    seq: u64,
-    payload: E,
-}
-
-/// A deterministic discrete-event queue.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    /// Near-future events, bucketed by absolute bucket index modulo
-    /// [`NUM_BUCKETS`]. Each bucket is kept sorted by (time, seq)
-    /// *descending* so the minimum pops from the back in O(1).
-    wheel: Vec<Vec<Entry<E>>>,
-    /// One bit per bucket: set iff the bucket is non-empty.
-    occupied: [u64; NUM_WORDS],
-    /// Events past the wheel horizon, indexed by time; per-time queues
-    /// are FIFO, which is (time, seq) order because `seq` increases
-    /// monotonically with insertion.
-    overflow: BTreeMap<Cycles, VecDeque<Entry<E>>>,
-    in_wheel: usize,
-    in_overflow: usize,
-    next_seq: u64,
-    now: Cycles,
-    /// Observability hook: records the pending-event count at each pop.
-    depth: Option<obs::Histogram>,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero.
-    pub fn new() -> Self {
-        EventQueue {
-            wheel: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; NUM_WORDS],
-            overflow: BTreeMap::new(),
-            in_wheel: 0,
-            in_overflow: 0,
-            next_seq: 0,
-            now: 0,
-            depth: None,
-        }
-    }
-
-    /// Attaches a histogram that records the pending-event count at
-    /// every subsequent [`EventQueue::pop`]. The depth sequence is a
-    /// pure function of the schedule/pop interleaving, so the recorded
-    /// distribution is deterministic for a deterministic simulation.
-    pub fn attach_depth_histogram(&mut self, histogram: obs::Histogram) {
-        self.depth = Some(histogram);
-    }
-
-    /// Current virtual time (the time of the last popped event).
-    pub fn now(&self) -> Cycles {
-        self.now
-    }
-
-    /// Schedules `payload` at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past — events may not rewrite history.
-    pub fn schedule_at(&mut self, at: Cycles, payload: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past ({at} < {})",
-            self.now
-        );
-        let entry = Entry {
-            time: at,
-            seq: self.next_seq,
-            payload,
-        };
-        self.next_seq += 1;
-        // Within the horizon, bucket indices are unambiguous modulo the
-        // wheel size; past it, the slot would collide with a nearer
-        // bucket, so the entry goes to the overflow map instead.
-        if (at >> BUCKET_SHIFT) - (self.now >> BUCKET_SHIFT) < NUM_BUCKETS as u64 {
-            let slot = (at >> BUCKET_SHIFT) as usize % NUM_BUCKETS;
-            let bucket = &mut self.wheel[slot];
-            // Keep the bucket sorted descending by (time, seq). New
-            // entries have the largest seq yet, so anything later in
-            // time than existing entries — the common case — inserts at
-            // the front and same-time entries also insert before their
-            // elders, which a reverse scan finds immediately.
-            let pos = bucket
-                .iter()
-                .position(|e| (e.time, e.seq) < (entry.time, entry.seq))
-                .unwrap_or(bucket.len());
-            bucket.insert(pos, entry);
-            self.occupied[slot / 64] |= 1 << (slot % 64);
-            self.in_wheel += 1;
-        } else {
-            self.overflow.entry(at).or_default().push_back(entry);
-            self.in_overflow += 1;
-        }
-    }
-
-    /// Schedules `payload` `delay` cycles from now.
-    pub fn schedule_in(&mut self, delay: Cycles, payload: E) {
-        self.schedule_at(self.now + delay, payload);
-    }
-
-    /// Locates the wheel's earliest event: its slot index. The wheel
-    /// minimum always lives in the first occupied bucket at or after
-    /// `now`'s bucket (pending events are never in the past).
-    fn wheel_min_slot(&self) -> Option<usize> {
-        if self.in_wheel == 0 {
-            return None;
-        }
-        let start = (self.now >> BUCKET_SHIFT) as usize % NUM_BUCKETS;
-        let (start_word, start_bit) = (start / 64, start % 64);
-        for step in 0..=NUM_WORDS {
-            let word_idx = (start_word + step) % NUM_WORDS;
-            let mut word = self.occupied[word_idx];
-            if step == 0 {
-                word &= !0u64 << start_bit;
-            }
-            // On the wrap-around revisit of the start word, only the
-            // bits *before* the start bit remain unexamined.
-            if step == NUM_WORDS {
-                word = self.occupied[word_idx] & !(!0u64 << start_bit);
-            }
-            if word != 0 {
-                return Some(word_idx * 64 + word.trailing_zeros() as usize);
-            }
-        }
-        unreachable!("in_wheel > 0 but no occupied bucket");
-    }
-
-    /// Pops the earliest event, advancing virtual time to it.
-    pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        if let Some(h) = &self.depth {
-            let pending = self.len();
-            if pending > 0 {
-                h.record(pending as u64);
-            }
-        }
-        let wheel_slot = self.wheel_min_slot();
-        let wheel_key = wheel_slot.map(|s| {
-            let e = self.wheel[s].last().expect("occupied bucket is non-empty");
-            (e.time, e.seq)
-        });
-        let overflow_key = self
-            .overflow
-            .first_key_value()
-            .map(|(_, q)| &q[0])
-            .map(|e| (e.time, e.seq));
-        let from_wheel = match (wheel_key, overflow_key) {
-            (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(w), Some(o)) => w < o,
-        };
-        let entry = if from_wheel {
-            let slot = wheel_slot.expect("wheel key implies a slot");
-            let entry = self.wheel[slot]
-                .pop()
-                .expect("occupied bucket is non-empty");
-            if self.wheel[slot].is_empty() {
-                self.occupied[slot / 64] &= !(1 << (slot % 64));
-            }
-            self.in_wheel -= 1;
-            entry
-        } else {
-            let mut first = self
-                .overflow
-                .first_entry()
-                .expect("overflow key implies entry");
-            let entry = first
-                .get_mut()
-                .pop_front()
-                .expect("per-time queue is non-empty");
-            if first.get().is_empty() {
-                first.remove();
-            }
-            self.in_overflow -= 1;
-            entry
-        };
-        self.now = entry.time;
-        Some((entry.time, entry.payload))
-    }
-
-    /// Time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<Cycles> {
-        let wheel_time = self.wheel_min_slot().map(|s| {
-            self.wheel[s]
-                .last()
-                .expect("occupied bucket is non-empty")
-                .time
-        });
-        let overflow_time = self.overflow.keys().next().copied();
-        match (wheel_time, overflow_time) {
-            (None, None) => None,
-            (Some(w), None) => Some(w),
-            (None, Some(o)) => Some(o),
-            (Some(w), Some(o)) => Some(w.min(o)),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.in_wheel + self.in_overflow
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// A simulation actor driven by the deterministic event [`Kernel`].
 ///
@@ -348,235 +111,6 @@ impl std::fmt::Debug for Kernel {
             .field("now", &self.now)
             .field("ticks", &self.ticks)
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Horizon of the wheel in cycles; schedules past this exercise the
-    /// overflow path.
-    const HORIZON: Cycles = (NUM_BUCKETS as Cycles) << BUCKET_SHIFT;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule_at(30, "c");
-        q.schedule_at(10, "a");
-        q.schedule_at(20, "b");
-        assert_eq!(q.pop(), Some((10, "a")));
-        assert_eq!(q.pop(), Some((20, "b")));
-        assert_eq!(q.pop(), Some((30, "c")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn ties_resolve_by_insertion_order() {
-        let mut q = EventQueue::new();
-        q.schedule_at(5, 1);
-        q.schedule_at(5, 2);
-        q.schedule_at(5, 3);
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap().1, 3);
-    }
-
-    #[test]
-    fn ties_resolve_by_insertion_order_across_interleaved_times() {
-        // Insertion order must win on ties even when unrelated events at
-        // other times are pushed in between.
-        let mut q = EventQueue::new();
-        q.schedule_at(5, "first");
-        q.schedule_at(9, "later");
-        q.schedule_at(5, "second");
-        q.schedule_at(1, "earliest");
-        q.schedule_at(5, "third");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(
-            order,
-            vec![
-                (1, "earliest"),
-                (5, "first"),
-                (5, "second"),
-                (5, "third"),
-                (9, "later"),
-            ]
-        );
-    }
-
-    #[test]
-    fn ties_resolve_by_insertion_order_in_overflow() {
-        let far = 10 * HORIZON;
-        let mut q = EventQueue::new();
-        q.schedule_at(far, 1);
-        q.schedule_at(far, 2);
-        q.schedule_at(far, 3);
-        assert_eq!(q.pop(), Some((far, 1)));
-        assert_eq!(q.pop(), Some((far, 2)));
-        assert_eq!(q.pop(), Some((far, 3)));
-    }
-
-    #[test]
-    fn ties_resolve_by_insertion_order_across_wheel_and_overflow() {
-        // An event lands in overflow; by the time its moment comes, a
-        // tie-mate scheduled later (larger seq) sits in the wheel. The
-        // overflow event must pop first.
-        let t = HORIZON + 50;
-        let mut q = EventQueue::new();
-        q.schedule_at(t, "overflow_first");
-        q.schedule_at(HORIZON - 10, "advance");
-        assert_eq!(q.pop(), Some((HORIZON - 10, "advance")));
-        // `t` is now within the horizon: this tie-mate goes to the wheel.
-        q.schedule_at(t, "wheel_second");
-        assert_eq!(q.pop(), Some((t, "overflow_first")));
-        assert_eq!(q.pop(), Some((t, "wheel_second")));
-    }
-
-    #[test]
-    fn far_future_events_pop_in_order() {
-        let mut q = EventQueue::new();
-        q.schedule_at(3 * HORIZON, "far");
-        q.schedule_at(7, "near");
-        q.schedule_at(HORIZON + 1, "mid");
-        assert_eq!(q.pop(), Some((7, "near")));
-        assert_eq!(q.pop(), Some((HORIZON + 1, "mid")));
-        assert_eq!(q.pop(), Some((3 * HORIZON, "far")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn wheel_wraps_cleanly_over_many_horizons() {
-        let mut q = EventQueue::new();
-        let mut expected = Vec::new();
-        for i in 0..200u64 {
-            // Steps of just under half a horizon force repeated wraps.
-            let t = i * (HORIZON / 2 - 3);
-            q.schedule_at(t, i);
-            expected.push((t, i));
-            // Drain every few pushes so `now` keeps chasing the inserts.
-            if i % 3 == 2 {
-                for _ in 0..2 {
-                    let got = q.pop().unwrap();
-                    assert_eq!(got, expected.remove(0));
-                }
-            }
-        }
-        while let Some(got) = q.pop() {
-            assert_eq!(got, expected.remove(0));
-        }
-        assert!(expected.is_empty());
-    }
-
-    #[test]
-    fn now_advances_with_pops() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.now(), 0);
-        q.schedule_in(7, ());
-        q.pop();
-        assert_eq!(q.now(), 7);
-        q.schedule_in(3, ());
-        assert_eq!(q.peek_time(), Some(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot schedule into the past")]
-    fn scheduling_into_the_past_panics() {
-        let mut q = EventQueue::new();
-        q.schedule_at(10, ());
-        q.pop();
-        q.schedule_at(5, ());
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule_at(1, 0);
-        q.schedule_at(2, 0);
-        assert_eq!(q.len(), 2);
-        q.pop();
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn len_counts_overflow_events() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        q.schedule_at(1, 0);
-        q.schedule_at(5 * HORIZON, 0);
-        assert_eq!(q.len(), 2);
-        q.pop();
-        q.pop();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop_is_deterministic() {
-        let run = || {
-            let mut q = EventQueue::new();
-            let mut order = Vec::new();
-            q.schedule_at(1, 100);
-            q.schedule_at(2, 200);
-            while let Some((t, v)) = q.pop() {
-                order.push((t, v));
-                if v < 400 && t < 10 {
-                    q.schedule_in(2, v + 100);
-                }
-            }
-            order
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn matches_reference_heap_on_randomised_workload() {
-        // Pit the wheel against a simple sorted-vector reference model
-        // under a deterministic pseudo-random schedule/pop mix spanning
-        // several horizons, including exact-tie bursts.
-        let mut q = EventQueue::new();
-        let mut reference: Vec<(Cycles, u64, u64)> = Vec::new(); // (time, seq, id)
-        let mut seq = 0u64;
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for round in 0..2_000u64 {
-            let burst = rng() % 4;
-            for _ in 0..=burst {
-                // Mix near, far, and same-time delays.
-                let delay = match rng() % 5 {
-                    0 => 0,
-                    1 => rng() % 64,
-                    2 => rng() % (HORIZON / 2),
-                    3 => HORIZON + rng() % HORIZON,
-                    _ => rng() % 1_000,
-                };
-                let at = q.now() + delay;
-                q.schedule_at(at, round);
-                reference.push((at, seq, round));
-                seq += 1;
-            }
-            for _ in 0..rng() % 3 {
-                let got = q.pop();
-                reference.sort();
-                let want = if reference.is_empty() {
-                    None
-                } else {
-                    let (t, _, id) = reference.remove(0);
-                    Some((t, id))
-                };
-                assert_eq!(got, want);
-            }
-        }
-        reference.sort();
-        for (t, _, id) in reference {
-            assert_eq!(q.pop(), Some((t, id)));
-        }
-        assert_eq!(q.pop(), None);
     }
 }
 

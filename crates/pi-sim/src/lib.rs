@@ -17,7 +17,7 @@
 //! * [`soc`] — the SoC component inventory (Assignment 2/3 questions).
 //! * [`isa`] — ARM (RISC) vs x86 (CISC) instruction-set comparison model.
 //! * [`flynn`] — Flynn's taxonomy (the Assignment 3 classification).
-//! * [`event`] — the discrete-event queue.
+//! * [`event`] — virtual time and the `Component`/`Kernel` event loop.
 //! * [`cache`] — L1/L2 hierarchy with MESI-style invalidation.
 //! * [`machine`] — cores, scheduler, locks, barriers, virtual clocks.
 //! * [`program`] — the abstract thread programs the machine executes.
