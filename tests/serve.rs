@@ -381,3 +381,100 @@ fn semester_digest_matrix_is_bit_identical() {
         "semantic digest must be one value across the whole matrix"
     );
 }
+
+/// Serves the whole course week on a fresh service and chains every
+/// day's report digest plus the final cache digest — the number
+/// `serve --check` compares across worker counts.
+fn week_digest(workers: usize) -> u64 {
+    let service = Service::new(ServiceConfig::with_workers(workers));
+    let mut bytes = Vec::new();
+    for day in course_week() {
+        bytes.extend(service.run_batch(&day).digest().to_le_bytes());
+    }
+    bytes.extend(service.cache_digest().to_le_bytes());
+    obs::trace::fnv1a(&bytes)
+}
+
+/// The course week's bytes as committed: the chained week digest, the
+/// metrics recorded over the week at 4 workers, and Monday's
+/// scheduler trace. `serve --check` only compares worker counts with
+/// each other; these pin the values themselves.
+#[test]
+fn course_week_observation_matches_the_committed_digests() {
+    assert_eq!(week_digest(1), 0x5e88_1dfb_0d93_db37);
+
+    let registry = obs::Registry::new();
+    let service = Service::new(ServiceConfig::with_workers(4));
+    for day in course_week() {
+        let _ = service.run_batch_with_metrics(&day, &registry);
+    }
+    assert_eq!(registry.snapshot().digest(), 0x68c2_e773_4f88_8470);
+
+    let monday = &course_week()[0];
+    let (_, trace) = Service::new(ServiceConfig::default())
+        .run_batch_traced(monday, &obs::trace::TraceConfig::default());
+    assert_eq!(trace.digest(), 0x5b14_3f8c_002e_aa4a);
+}
+
+/// One spec per job kind and per MapReduce workload, with the digest
+/// of its executed result (payload and metrics) as committed.
+#[test]
+fn executed_results_match_the_committed_digests() {
+    let mapreduce = |workload| JobSpec::MapReduce {
+        workload,
+        docs: 12,
+        seed: 9,
+        map_workers: 3,
+        reduce_workers: 2,
+    };
+    let cases = [
+        (
+            JobSpec::LoopSim {
+                iterations: 2_000,
+                cost: CostSpec::Linear { base: 50, slope: 1 },
+                schedule: ScheduleSpec::Dynamic { chunk: 64 },
+                threads: 4,
+            },
+            0x8530_1d7a_e161_b924,
+        ),
+        (
+            JobSpec::ReductionSim {
+                iterations: 1_000,
+                iter_cost: 80,
+                threads: 4,
+                style: ReductionStyleSpec::Tree,
+            },
+            0x72ac_9d2a_f535_25bd,
+        ),
+        (mapreduce(MrWorkload::WordCount), 0x324f_8b4d_e1e1_6f82),
+        (mapreduce(MrWorkload::InvertedIndex), 0x5237_fb41_596b_c5fa),
+        (
+            mapreduce(MrWorkload::Grep {
+                pattern: "parallel".into(),
+            }),
+            0x8744_b891_231e_ed49,
+        ),
+        // The course week's Friday replication mini-study.
+        (
+            JobSpec::Replication {
+                replicates: 4,
+                num_students: 40,
+                master_seed: 77,
+                permutations: 150,
+                bootstrap_reps: 100,
+                section_permutations: 100,
+            },
+            0x6955_8cd0_6a59_736a,
+        ),
+        (
+            JobSpec::Report {
+                artefact: "fig1".into(),
+            },
+            0xe1ba_ecff_b921_5910,
+        ),
+    ];
+    for (spec, expected) in &cases {
+        let got = serve::exec::execute(spec).digest();
+        assert_eq!(got, *expected, "{spec:?}");
+    }
+}
