@@ -40,9 +40,8 @@
 //! shapes (replicate counts that do and do not divide the chunk size):
 //! every batched digest must equal the scalar digest bit for bit.
 //!
-//! `--trace-out` runs a small traced batch, asserts the traced report
-//! is bit-identical to an untraced one (the observer-effect invariant),
-//! and writes the chunk-lifecycle trace as Chrome trace-event JSON.
+//! `--trace-out` runs a small batch and writes the chunk-lifecycle trace
+//! read off its report as Chrome trace-event JSON.
 
 use std::time::Instant;
 
@@ -387,29 +386,23 @@ fn json(
     out
 }
 
-/// `--trace-out` mode: a small traced batch, gated on the traced and
-/// untraced reports being bit-identical before anything is written.
+/// `--trace-out` mode: a small batch's chunk-lifecycle trace.
 fn trace_mode(out: &str) -> ! {
     let cfg = ReplicationConfig {
         replicates: 100,
         threads: 4,
         ..ReplicationConfig::default()
     };
-    let plain = run_replication(&cfg);
-    let (traced, trace) =
-        pbl_core::replicate::run_replication_traced(&cfg, &obs::trace::TraceConfig::default());
-    assert_eq!(
-        plain.digest(),
-        traced.digest(),
-        "determinism violated: trace instrumentation perturbed the batch"
-    );
+    let report = run_replication_batched(&cfg);
+    let trace = report.trace(&obs::trace::TraceConfig::default());
     std::fs::write(out, trace.to_chrome_json()).unwrap_or_else(|e| {
         eprintln!("replication: cannot write {out}: {e}");
         std::process::exit(2);
     });
     println!(
-        "replication trace: {} replicates, digest 0x{:016x}, report digest unchanged -> {out}",
+        "replication trace: {} replicates, report digest 0x{:016x}, trace digest 0x{:016x} -> {out}",
         cfg.replicates,
+        report.digest(),
         trace.digest()
     );
     std::process::exit(0);
@@ -472,16 +465,9 @@ fn main() {
     );
     assert_parametrics_match(&baseline, &batched4);
 
-    // Instrumented pass for the embedded metrics section (untimed). The
-    // engine must report the same digest with metrics attached — the
-    // observer must not perturb the batch.
+    // The embedded metrics section, read off the 4-thread report.
     let registry = obs::Registry::new();
-    let instrumented = pbl_core::replicate::run_replication_with_metrics(&cfg4, &registry);
-    assert_eq!(
-        batched4.digest(),
-        instrumented.digest(),
-        "determinism violated: metrics instrumentation perturbed the batch"
-    );
+    batched4.record_metrics(&registry);
     let metrics_json = registry.snapshot().to_json_with_digest();
 
     let speedup1 = SCALAR_ENGINE_1T_MS / batched1_ms;

@@ -12,10 +12,8 @@
 //!   single-flight: identical submissions compute once per week.
 //!
 //! Before recording anything the binary asserts (1) the batch reports
-//! and cache state are bit-identical at 1 and 4 workers, (2) the
-//! course-week cache hit rate clears the ≥50% acceptance bar, and
-//! (3) metrics instrumentation does not perturb the report digests
-//! (the observer-effect invariant).
+//! and cache state are bit-identical at 1 and 4 workers, and (2) the
+//! course-week cache hit rate clears the ≥50% acceptance bar.
 //!
 //! Note on cores: this container exposes a single CPU, so the recorded
 //! speedup is algorithmic (work avoided by the cache at identical
@@ -196,26 +194,20 @@ fn series_mode(out: &str) -> ! {
     std::process::exit(0);
 }
 
-/// `--trace-out` mode: traces Monday's batch, gated on the traced
-/// report being bit-identical to an untraced one.
+/// `--trace-out` mode: the scheduler trace of Monday's batch.
 fn trace_mode(out: &str) -> ! {
     let week = course_week();
     let monday = &week[0];
-    let plain = Service::new(ServiceConfig::default()).run_batch(monday);
-    let (traced, trace) = Service::new(ServiceConfig::default())
-        .run_batch_traced(monday, &obs::trace::TraceConfig::default());
-    assert_eq!(
-        plain.digest(),
-        traced.digest(),
-        "determinism violated: trace instrumentation perturbed the batch"
-    );
+    let report = Service::new(ServiceConfig::default()).run_batch(monday);
+    let trace = report.trace(monday, &obs::trace::TraceConfig::default());
     std::fs::write(out, trace.to_chrome_json()).unwrap_or_else(|e| {
         eprintln!("serve: cannot write {out}: {e}");
         std::process::exit(2);
     });
     println!(
-        "serve trace: {} submissions, trace digest 0x{:016x}, report digest unchanged -> {out}",
+        "serve trace: {} submissions, report digest 0x{:016x}, trace digest 0x{:016x} -> {out}",
         monday.len(),
+        report.digest(),
         trace.digest()
     );
     std::process::exit(0);
@@ -405,7 +397,7 @@ fn json(
     out.push_str("{\n");
     out.push_str("  \"bench\": \"serve\",\n");
     out.push_str(
-        "  \"description\": \"One synthetic course week (26 teams x 5 daily batches of patternlet / reduction / mapreduce / report / replication jobs) replayed through the pbl-serve job service: cold baseline (cache and single-flight disabled, every admitted job computes) vs the cached service (content-addressed result cache with WFQ scheduling and batch-level single-flight). Batch reports and cache state are asserted bit-identical across 1/2/4/8 workers, and metrics instrumentation is asserted side-effect-free, before recording. On top, a full semester (~1M seeded open-loop submissions from 2000 tenants over 105 days) is swept through the consistent-hash sharded cluster at 1/2/4/8 shards with a shared L2 cache and cross-shard single-flight; the semantic semester digest is asserted bit-identical across shard counts and throughput is asserted monotonically improving from 1 to 4 shards.\",\n",
+        "  \"description\": \"One synthetic course week (26 teams x 5 daily batches of patternlet / reduction / mapreduce / report / replication jobs) replayed through the pbl-serve job service: cold baseline (cache and single-flight disabled, every admitted job computes) vs the cached service (content-addressed result cache with WFQ scheduling and batch-level single-flight). Batch reports and cache state are asserted bit-identical across 1/2/4/8 workers before recording, and the embedded metrics are read off the finished batch reports. On top, a full semester (~1M seeded open-loop submissions from 2000 tenants over 105 days) is swept through the consistent-hash sharded cluster at 1/2/4/8 shards with a shared L2 cache and cross-shard single-flight; the semantic semester digest is asserted bit-identical across shard counts and throughput is asserted monotonically improving from 1 to 4 shards.\",\n",
     );
     out.push_str("  \"command\": \"cargo run --release -p pbl-bench --bin serve\",\n");
     out.push_str(&format!("  \"reps_per_measurement\": {REPS},\n"));
@@ -700,21 +692,13 @@ fn main() {
     // (untimed; all of its gates assert inside).
     let health = semester_health();
 
-    // Instrumented pass for the embedded metrics section (untimed);
-    // the observer must not perturb any day's report.
+    // The embedded metrics section (untimed), read off each day's
+    // report of a 4-worker week.
     let registry = obs::Registry::new();
     let service = Service::new(ServiceConfig::with_workers(4));
-    let mut instrumented_bytes = Vec::new();
     for day in &week {
-        let report = service.run_batch_with_metrics(day, &registry);
-        instrumented_bytes.extend(report.digest().to_le_bytes());
+        service.run_batch(day).record_metrics(&registry);
     }
-    instrumented_bytes.extend(service.cache_digest().to_le_bytes());
-    assert_eq!(
-        reference,
-        obs::trace::fnv1a(&instrumented_bytes),
-        "determinism violated: metrics instrumentation perturbed the week"
-    );
     let metrics_json = registry.snapshot().to_json_with_digest();
 
     std::fs::write(

@@ -535,7 +535,7 @@ pub fn robustness(report: &StudyReport) -> Table {
 /// replication engine and tabulates how often each headline conclusion
 /// recurs. The batch is bit-identical for every `threads` value.
 pub fn replication(replicates: usize, threads: usize) -> Table {
-    let report = crate::replicate::run_replication(&crate::replicate::ReplicationConfig {
+    let report = crate::replicate::run_replication_batched(&crate::replicate::ReplicationConfig {
         replicates,
         threads,
         permutations: 800,
@@ -607,33 +607,10 @@ pub fn metrics_snapshot(threads: usize) -> obs::MetricsSnapshot {
     );
 
     // Layer 3: shuffle and partition-skew metrics from word count.
-    let docs: Vec<String> = (0..24)
-        .map(|i| format!("pbl module assignment {} teaches parallel thinking", i % 5))
-        .collect();
-    let _ = mapreduce::run_job_with_metrics(
-        &mapreduce::examples::WordCount,
-        docs,
-        &mapreduce::JobConfig {
-            map_workers: 2,
-            use_combiner: true,
-            ..Default::default()
-        },
-        &registry,
-    );
+    word_count_demo().record_metrics(&registry);
 
     // Layer 4: replication-engine queue metrics from a mini-batch.
-    let _ = crate::replicate::run_replication_with_metrics(
-        &crate::replicate::ReplicationConfig {
-            replicates: 6,
-            threads,
-            num_students: 40,
-            master_seed: 77,
-            permutations: 200,
-            bootstrap_reps: 150,
-            section_permutations: 150,
-        },
-        &registry,
-    );
+    replication_demo(threads).record_metrics(&registry);
 
     registry.snapshot()
 }
@@ -672,35 +649,12 @@ pub fn demo_trace(threads: usize) -> obs::trace::Trace {
     );
 
     // Layer 3: word-count phase spans in pairs-processed virtual time.
-    let docs: Vec<String> = (0..24)
-        .map(|i| format!("pbl module assignment {} teaches parallel thinking", i % 5))
-        .collect();
-    let (_, job_trace) = mapreduce::run_job_traced(
-        &mapreduce::examples::WordCount,
-        docs,
-        &mapreduce::JobConfig {
-            map_workers: 2,
-            use_combiner: true,
-            ..Default::default()
-        },
-        &tcfg,
-    );
+    let job_trace = word_count_demo().trace(&tcfg);
 
     // Layer 4: replication chunk lifecycles in replicate-index virtual
     // time. `threads` only changes which OS workers run the chunks,
     // never the batch shape, so the merged trace is thread invariant.
-    let (_, rep_trace) = crate::replicate::run_replication_traced(
-        &crate::replicate::ReplicationConfig {
-            replicates: 6,
-            threads,
-            num_students: 40,
-            master_seed: 77,
-            permutations: 200,
-            bootstrap_reps: 150,
-            section_permutations: 150,
-        },
-        &tcfg,
-    );
+    let rep_trace = replication_demo(threads).trace(&tcfg);
 
     obs::trace::Trace::merge(vec![
         ("sim-loop", loop_trace),
@@ -708,6 +662,33 @@ pub fn demo_trace(threads: usize) -> obs::trace::Trace {
         ("word-count", job_trace),
         ("replication", rep_trace),
     ])
+}
+
+/// The word-count job [`metrics_snapshot`] and [`demo_trace`] observe.
+fn word_count_demo() -> mapreduce::JobStats {
+    let docs: Vec<String> = (0..24)
+        .map(|i| format!("pbl module assignment {} teaches parallel thinking", i % 5))
+        .collect();
+    let config = mapreduce::JobConfig {
+        map_workers: 2,
+        use_combiner: true,
+        ..Default::default()
+    };
+    mapreduce::run_job(&mapreduce::examples::WordCount, docs, &config).stats
+}
+
+/// The replication mini-batch [`metrics_snapshot`] and [`demo_trace`]
+/// observe.
+fn replication_demo(threads: usize) -> crate::replicate::ReplicationReport {
+    crate::replicate::run_replication_batched(&crate::replicate::ReplicationConfig {
+        replicates: 6,
+        threads,
+        num_students: 40,
+        master_seed: 77,
+        permutations: 200,
+        bootstrap_reps: 150,
+        section_permutations: 150,
+    })
 }
 
 /// Section equivalence (§II: both sections "taught by the same

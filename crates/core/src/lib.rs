@@ -42,5 +42,5 @@ pub mod published;
 pub mod replicate;
 pub mod study;
 
-pub use replicate::{run_replication, ReplicationConfig, ReplicationReport};
+pub use replicate::{run_replication_batched, ReplicationConfig, ReplicationReport};
 pub use study::{PblStudy, StudyReport};

@@ -4,11 +4,13 @@
 //! Each replicate generates an independent cohort from a seed-split
 //! stream, runs the Table-1 parametric tests, and then the resampling
 //! robustness battery (paired permutation tests, bootstrap CI of the
-//! mean difference, section-equivalence label shuffle) using the
-//! sharded `stats::resample::*_par` kernels. Replicates fan out across
-//! OS threads via the `pbl-replicate` engine; the batch is
+//! mean difference, section-equivalence label shuffle). Replicates fan
+//! out across OS threads via the `pbl-replicate` engine; the batch is
 //! bit-identical for every thread count (see DESIGN.md, "replicate-level
-//! determinism invariant").
+//! determinism invariant"). [`run_replication_batched`] is the path
+//! every caller runs; the scalar [`run_replication`] is the reference
+//! it is tested against. Metrics and traces are read off the finished
+//! [`ReplicationReport`].
 
 use ::replicate::{ReplicateCtx, ReplicationEngine};
 use classroom::cohort::CohortScoreModel;
@@ -142,6 +144,25 @@ impl ReplicationReport {
             .fold((f64::MAX, f64::MIN), |(lo, hi), s| {
                 (lo.min(s.growth_d.d), hi.max(s.growth_d.d))
             })
+    }
+
+    /// Records the replication engine's virtual counters for this batch
+    /// into `registry`: `replicate/chunks_dispatched` and
+    /// `replicate/replicates_completed`. Both depend on the batch shape
+    /// alone, so they are identical for every `config.threads`.
+    pub fn record_metrics(&self, registry: &obs::Registry) {
+        self.shape().record_metrics(registry);
+    }
+
+    /// The batch's chunk-lifecycle trace, in replicate-index virtual
+    /// time (see [`::replicate::BatchShape::trace`]); byte-identical for
+    /// every `config.threads`.
+    pub fn trace(&self, tcfg: &obs::trace::TraceConfig) -> obs::trace::Trace {
+        self.shape().trace(tcfg)
+    }
+
+    fn shape(&self) -> ::replicate::BatchShape {
+        ReplicationEngine::new(self.config.threads).shape(self.summaries.len())
     }
 
     /// An order-sensitive 64-bit digest of every reported number — the
@@ -437,13 +458,15 @@ fn run_chunk_batched(
         .collect()
 }
 
-/// [`run_replication`] on the batch-major path: each work-queue chunk
-/// runs [`run_chunk_batched`] over a structure-of-arrays
-/// [`CohortBatch`] with per-worker arenas. Bit-identical to
-/// [`run_replication`] for every thread count — same summaries, same
-/// digest — just faster, because lockstep lanes overlap the resampling
-/// kernels' accumulator chains and steady-state chunks allocate
-/// nothing.
+/// Runs the batch: `cfg.replicates` independent studies on up to
+/// `cfg.threads` OS threads, bit-identical for every thread count.
+///
+/// This is the batch-major path every caller uses: each work-queue
+/// chunk lays its cohorts out as a structure-of-arrays
+/// [`CohortBatch`] and advances them in lockstep through the
+/// `stats::batch` kernels, with one reused arena per worker. It
+/// returns the same summaries and digest as the scalar
+/// [`run_replication`], just faster.
 pub fn run_replication_batched(cfg: &ReplicationConfig) -> ReplicationReport {
     let summaries = ReplicationEngine::new(cfg.threads).run_chunked(
         cfg.replicates,
@@ -457,8 +480,10 @@ pub fn run_replication_batched(cfg: &ReplicationConfig) -> ReplicationReport {
     }
 }
 
-/// Runs the batch: `cfg.replicates` independent studies on up to
-/// `cfg.threads` OS threads, bit-identical for every thread count.
+/// The scalar reference for [`run_replication_batched`]: one replicate
+/// at a time through the per-replicate `stats::resample` kernels. Tests
+/// and the replication bin's check modes compare the batched path
+/// against it bit for bit.
 pub fn run_replication(cfg: &ReplicationConfig) -> ReplicationReport {
     let summaries =
         ReplicationEngine::new(cfg.threads).run(cfg.replicates, cfg.master_seed, |ctx| {
@@ -468,53 +493,6 @@ pub fn run_replication(cfg: &ReplicationConfig) -> ReplicationReport {
         config: cfg.clone(),
         summaries,
     }
-}
-
-/// [`run_replication`], additionally recording engine metrics into
-/// `registry`: virtual counters for chunks dispatched and replicates
-/// completed (thread-count invariant, part of the deterministic
-/// snapshot) plus wall-domain chunk-latency and queue-drain
-/// diagnostics. The report itself is bit-identical to
-/// [`run_replication`].
-pub fn run_replication_with_metrics(
-    cfg: &ReplicationConfig,
-    registry: &obs::Registry,
-) -> ReplicationReport {
-    let summaries = ReplicationEngine::new(cfg.threads).run_with_metrics(
-        cfg.replicates,
-        cfg.master_seed,
-        registry,
-        |ctx| summarize_replicate(cfg, ctx),
-    );
-    ReplicationReport {
-        config: cfg.clone(),
-        summaries,
-    }
-}
-
-/// [`run_replication`], additionally recording the deterministic
-/// chunk-lifecycle trace (virtual time = replicate index; see
-/// `ReplicationEngine::run_traced`). The report is bit-identical to
-/// [`run_replication`] — the observer-effect invariant the root
-/// `trace_golden` test enforces — and the trace is byte-identical for
-/// every `cfg.threads`.
-pub fn run_replication_traced(
-    cfg: &ReplicationConfig,
-    tcfg: &obs::trace::TraceConfig,
-) -> (ReplicationReport, obs::trace::Trace) {
-    let (summaries, trace) = ReplicationEngine::new(cfg.threads).run_traced(
-        cfg.replicates,
-        cfg.master_seed,
-        tcfg,
-        |ctx| summarize_replicate(cfg, ctx),
-    );
-    (
-        ReplicationReport {
-            config: cfg.clone(),
-            summaries,
-        },
-        trace,
-    )
 }
 
 #[cfg(test)]
@@ -610,13 +588,11 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_batch_matches_plain_and_snapshot_is_thread_invariant() {
-        let plain = run_replication(&small_config(2));
+    fn recorded_metrics_are_thread_invariant() {
         let mut json = Vec::new();
         for threads in [1, 4] {
             let registry = obs::Registry::new();
-            let got = run_replication_with_metrics(&small_config(threads), &registry);
-            assert_eq!(plain.digest(), got.digest(), "threads = {threads}");
+            run_replication_batched(&small_config(threads)).record_metrics(&registry);
             json.push(registry.snapshot().to_json());
         }
         assert_eq!(

@@ -70,7 +70,7 @@ impl PblStudy {
     /// on the seed-split stream seed for `i`, so the batch is
     /// bit-identical for every thread count. For the resampling
     /// robustness battery across a batch, see
-    /// [`crate::replicate::run_replication`].
+    /// [`crate::replicate::run_replication_batched`].
     pub fn run_batch(&self, n: usize, threads: usize) -> Vec<StudyReport> {
         let config = self.config.clone();
         ::replicate::ReplicationEngine::new(threads).run(n, config.seed, move |ctx| {

@@ -59,15 +59,87 @@ pub struct JobStats {
     pub emitted_pairs: usize,
     /// Distinct keys reduced.
     pub reduced_keys: usize,
-    /// Key comparisons the shuffle avoided by hash-grouping buckets and
-    /// sorting each once, relative to an ordered map paying
-    /// ⌈log₂(distinct keys in the bucket)⌉ comparisons per inserted
-    /// pair: that estimate minus the comparisons the one-shot sort
-    /// actually performed (counted in its comparator), floored at zero.
-    pub shuffle_comparisons_avoided: usize,
     /// Intermediate pairs landing in each reduce bucket, indexed by
     /// bucket — the partition-skew evidence.
     pub bucket_pairs: Vec<usize>,
+}
+
+impl JobStats {
+    /// Records the job's counters into `registry` under `mapreduce/*`.
+    ///
+    /// Pair counts, bucket sizes, and partition skew are functions of
+    /// the inputs and configuration alone, so they land in
+    /// [`obs::Domain::Virtual`] and are byte-identical across reruns.
+    pub fn record_metrics(&self, registry: &obs::Registry) {
+        use obs::Domain::Virtual;
+        let counter = |name, value: usize| {
+            registry.counter(name, Virtual).add(value as u64);
+        };
+        counter("mapreduce/map/attempts", self.map_attempts);
+        counter("mapreduce/map/failures", self.map_failures);
+        counter("mapreduce/shuffle/emitted_pairs", self.emitted_pairs);
+        counter("mapreduce/shuffle/shuffled_pairs", self.shuffled_pairs);
+        counter("mapreduce/reduce/keys", self.reduced_keys);
+        counter(
+            "mapreduce/partition/skew",
+            partition_skew(&self.bucket_pairs),
+        );
+        let bucket_hist = registry.histogram(
+            "mapreduce/partition/bucket_pairs",
+            Virtual,
+            &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096],
+        );
+        for &pairs in &self.bucket_pairs {
+            bucket_hist.record(pairs as u64);
+        }
+    }
+
+    /// The job's phase trace.
+    ///
+    /// Mapreduce has no cycle clock, so the trace's virtual time is the
+    /// job's own deterministic unit: **pairs processed**. The `engine`
+    /// lane carries three consecutive phase spans — `map` spanning the
+    /// emitted pairs, `shuffle` spanning the shuffled (post-combiner)
+    /// pairs, `reduce` spanning the reduced keys — plus one counter
+    /// sample per shuffle bucket at the shuffle/reduce boundary. None of
+    /// these depends on how many workers raced, so the export is
+    /// byte-identical for any `map_workers`/`reduce_workers` setting.
+    pub fn trace(&self, tcfg: &obs::trace::TraceConfig) -> obs::trace::Trace {
+        use obs::trace::category;
+        let mut rec = obs::trace::TraceRecorder::new(tcfg);
+        let lane = rec.lane("engine");
+        let buf = rec.buf(lane);
+        let map_end = self.emitted_pairs as u64;
+        let shuffle_end = map_end + self.shuffled_pairs as u64;
+        let reduce_end = shuffle_end + self.reduced_keys as u64;
+        // Span payloads use pair/key counts only: map_attempts is batched
+        // per worker and so would break worker-count invariance.
+        buf.begin(0, "map", category::PHASE, self.emitted_pairs as u64);
+        buf.end(map_end);
+        buf.begin(
+            map_end,
+            "shuffle",
+            category::PHASE,
+            self.shuffled_pairs as u64,
+        );
+        buf.end(shuffle_end);
+        for (i, &pairs) in self.bucket_pairs.iter().enumerate() {
+            buf.counter(
+                shuffle_end,
+                format!("bucket/{i}"),
+                category::CHUNK,
+                pairs as u64,
+            );
+        }
+        buf.begin(
+            shuffle_end,
+            "reduce",
+            category::PHASE,
+            self.reduced_keys as u64,
+        );
+        buf.end(reduce_end);
+        rec.finish()
+    }
 }
 
 /// Job result: outputs sorted by key, plus statistics.
@@ -165,23 +237,12 @@ pub fn run_job<M: MapReduce>(
     let grouped: Vec<GroupedBucket<M>> = buckets
         .into_iter()
         .map(|bucket| {
-            let pairs_in = bucket.len();
             let mut m: HashMap<M::Key, Vec<M::Value>> = HashMap::new();
             for (k, v) in bucket {
                 m.entry(k).or_default().push(v);
             }
             let mut entries: Vec<(M::Key, Vec<M::Value>)> = m.into_iter().collect();
-            let mut sort_comparisons = 0usize;
-            entries.sort_by(|a, b| {
-                sort_comparisons += 1;
-                a.0.cmp(&b.0)
-            });
-            let distinct = entries.len();
-            // Comparisons an ordered-map shuffle would pay: ~⌈log₂ k⌉
-            // per inserted pair at the bucket's final size k.
-            let per_insert = usize::BITS - distinct.leading_zeros();
-            stats.shuffle_comparisons_avoided +=
-                (pairs_in * per_insert as usize).saturating_sub(sort_comparisons);
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
             entries
         })
         .collect();
@@ -204,108 +265,6 @@ pub fn run_job<M: MapReduce>(
     results.sort_by(|a, b| a.0.cmp(&b.0));
     stats.reduced_keys = results.len();
     JobOutput { results, stats }
-}
-
-/// [`run_job`] additionally recording observability counters into
-/// `registry` under `mapreduce/*`.
-///
-/// Pair counts, bucket sizes, and partition skew are functions of the
-/// inputs and configuration alone, so they land in
-/// [`obs::Domain::Virtual`] and are byte-identical across reruns and
-/// worker counts. The shuffle's avoided-comparison estimate depends on
-/// the host's hash-map iteration order, so it is recorded under
-/// [`obs::Domain::Wall`] and stays out of the deterministic snapshot.
-pub fn run_job_with_metrics<M: MapReduce>(
-    job: &M,
-    inputs: Vec<M::Input>,
-    config: &JobConfig,
-    registry: &obs::Registry,
-) -> JobOutput<M::Key, M::Output> {
-    use obs::Domain::{Virtual, Wall};
-    let out = run_job(job, inputs, config);
-    let s = &out.stats;
-    let counter = |name, domain, value: usize| {
-        registry.counter(name, domain).add(value as u64);
-    };
-    counter("mapreduce/map/attempts", Virtual, s.map_attempts);
-    counter("mapreduce/map/failures", Virtual, s.map_failures);
-    counter("mapreduce/shuffle/emitted_pairs", Virtual, s.emitted_pairs);
-    counter(
-        "mapreduce/shuffle/shuffled_pairs",
-        Virtual,
-        s.shuffled_pairs,
-    );
-    counter("mapreduce/reduce/keys", Virtual, s.reduced_keys);
-    counter(
-        "mapreduce/partition/skew",
-        Virtual,
-        partition_skew(&s.bucket_pairs),
-    );
-    counter(
-        "mapreduce/shuffle/comparisons_avoided",
-        Wall,
-        s.shuffle_comparisons_avoided,
-    );
-    let bucket_hist = registry.histogram(
-        "mapreduce/partition/bucket_pairs",
-        Virtual,
-        &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096],
-    );
-    for &pairs in &s.bucket_pairs {
-        bucket_hist.record(pairs as u64);
-    }
-    out
-}
-
-/// Like [`run_job`], additionally recording the deterministic event
-/// trace of the job's phases.
-///
-/// Mapreduce has no cycle clock, so the trace's virtual time is the
-/// job's own deterministic unit: **pairs processed**. The `engine`
-/// lane carries three consecutive phase spans — `map` spanning the
-/// emitted pairs, `shuffle` spanning the shuffled (post-combiner)
-/// pairs, `reduce` spanning the reduced keys — plus one counter sample
-/// per shuffle bucket at the shuffle/reduce boundary. Everything is a
-/// pure function of [`JobStats`], which is worker-count invariant, so
-/// the export is byte-identical for any `map_workers`/`reduce_workers`
-/// setting.
-pub fn run_job_traced<M: MapReduce>(
-    job: &M,
-    inputs: Vec<M::Input>,
-    config: &JobConfig,
-    tcfg: &obs::trace::TraceConfig,
-) -> (JobOutput<M::Key, M::Output>, obs::trace::Trace) {
-    use obs::trace::category;
-    let out = run_job(job, inputs, config);
-    let s = &out.stats;
-    let mut rec = obs::trace::TraceRecorder::new(tcfg);
-    let lane = rec.lane("engine");
-    let buf = rec.buf(lane);
-    let map_end = s.emitted_pairs as u64;
-    let shuffle_end = map_end + s.shuffled_pairs as u64;
-    let reduce_end = shuffle_end + s.reduced_keys as u64;
-    // Span payloads use pair/key counts only: map_attempts is batched
-    // per worker and so would break worker-count invariance.
-    buf.begin(0, "map", category::PHASE, s.emitted_pairs as u64);
-    buf.end(map_end);
-    buf.begin(map_end, "shuffle", category::PHASE, s.shuffled_pairs as u64);
-    buf.end(shuffle_end);
-    for (i, &pairs) in s.bucket_pairs.iter().enumerate() {
-        buf.counter(
-            shuffle_end,
-            format!("bucket/{i}"),
-            category::CHUNK,
-            pairs as u64,
-        );
-    }
-    buf.begin(
-        shuffle_end,
-        "reduce",
-        category::PHASE,
-        s.reduced_keys as u64,
-    );
-    buf.end(reduce_end);
-    (out, rec.finish())
 }
 
 /// Groups a map task's output by key and applies the job's combiner.
@@ -418,21 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_reports_avoided_comparisons_on_repetitive_keys() {
-        // Many pairs, few distinct keys: an ordered-map shuffle would
-        // compare on every insertion, the hash-group-then-sort-once
-        // shuffle only on the handful of distinct keys.
-        let big: Vec<String> = (0..200).map(|_| "a b c d e f".to_string()).collect();
-        let out = run_job(&WordCount, big, &JobConfig::default());
-        assert!(
-            out.stats.shuffle_comparisons_avoided > out.stats.reduced_keys,
-            "avoided {} comparisons across {} keys",
-            out.stats.shuffle_comparisons_avoided,
-            out.stats.reduced_keys
-        );
-    }
-
-    #[test]
     fn multi_output_combiners_keep_emission_order_per_key() {
         // A combiner that emits several values must keep them grouped
         // with their key in emission order through the shuffle.
@@ -536,64 +480,46 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_job_matches_plain_and_virtual_metrics_are_deterministic() {
-        let plain = run_job(&WordCount, corpus(), &JobConfig::default());
-        let run = |map_workers: usize| {
+    fn recorded_metrics_are_deterministic_across_reruns() {
+        let snapshot = || {
+            let config = JobConfig {
+                map_workers: 2,
+                ..JobConfig::default()
+            };
             let registry = obs::Registry::new();
-            let out = run_job_with_metrics(
-                &WordCount,
-                corpus(),
-                &JobConfig {
-                    map_workers,
-                    ..JobConfig::default()
-                },
-                &registry,
-            );
-            (out, registry.snapshot())
+            run_job(&WordCount, corpus(), &config)
+                .stats
+                .record_metrics(&registry);
+            registry.snapshot()
         };
-        let (out_a, snap_a) = run(2);
-        let (out_b, snap_b) = run(2);
-        let (out_c, _) = run(5);
-        assert_eq!(out_a.results, plain.results);
-        assert_eq!(out_b.results, plain.results);
-        assert_eq!(out_c.results, plain.results);
-        // Virtual metrics are byte-identical across reruns, whichever
-        // threads raced for which split; the host-order-dependent
-        // comparison estimate is Wall-domain and so excluded from this
-        // comparison by construction.
-        assert_eq!(snap_a.to_json(), snap_b.to_json());
-        assert!(snap_a
+        // Byte-identical across reruns, whichever threads raced for
+        // which split.
+        let snap = snapshot();
+        assert_eq!(snap.to_json(), snapshot().to_json());
+        assert!(snap
             .metrics
             .iter()
             .any(|m| m.name == "mapreduce/partition/skew"));
-        assert!(snap_a
-            .metrics
-            .iter()
-            .all(|m| m.name != "mapreduce/shuffle/comparisons_avoided"));
     }
 
     #[test]
-    fn traced_job_matches_plain_and_is_worker_count_invariant() {
-        let plain = run_job(&WordCount, corpus(), &JobConfig::default());
+    fn trace_is_worker_count_invariant() {
         let tcfg = obs::trace::TraceConfig::default();
         let run = |map_workers: usize| {
-            run_job_traced(
-                &WordCount,
-                corpus(),
-                &JobConfig {
-                    map_workers,
-                    ..JobConfig::default()
-                },
-                &tcfg,
-            )
+            let config = JobConfig {
+                map_workers,
+                ..JobConfig::default()
+            };
+            run_job(&WordCount, corpus(), &config).stats
         };
-        let (out_a, trace_a) = run(2);
-        let (out_b, trace_b) = run(5);
-        assert_eq!(out_a.results, plain.results, "observer effect");
-        assert_eq!(out_b.results, plain.results);
+        let (stats_a, stats_b) = (run(2), run(5));
+        let trace_a = stats_a.trace(&tcfg);
         // Virtual time is pairs processed — a pure function of the
         // stats — so the export ignores how many workers raced.
-        assert_eq!(trace_a.to_chrome_json(), trace_b.to_chrome_json());
+        assert_eq!(
+            trace_a.to_chrome_json(),
+            stats_b.trace(&tcfg).to_chrome_json()
+        );
         let phases: Vec<&str> = trace_a
             .events
             .iter()
@@ -603,8 +529,7 @@ mod tests {
         assert_eq!(phases, vec!["map", "shuffle", "reduce"]);
         assert_eq!(
             trace_a.makespan(),
-            (out_a.stats.emitted_pairs + out_a.stats.shuffled_pairs + out_a.stats.reduced_keys)
-                as u64
+            (stats_a.emitted_pairs + stats_a.shuffled_pairs + stats_a.reduced_keys) as u64
         );
         assert!(obs::trace::analyze::analyze(&trace_a).attribution_is_exact());
     }

@@ -68,4 +68,4 @@ pub trait MapReduce: Sync {
     }
 }
 
-pub use engine::{run_job, run_job_traced, run_job_with_metrics, JobConfig, JobOutput, JobStats};
+pub use engine::{run_job, JobConfig, JobOutput, JobStats};

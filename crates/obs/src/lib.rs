@@ -22,8 +22,8 @@
 //! * [`Domain::Virtual`] metrics are part of the determinism contract —
 //!   two runs of the same seed must produce byte-identical values, and
 //!   [`Registry::snapshot`] exports exactly these.
-//! * [`Domain::Wall`] metrics (barrier spin waits, replicate chunk
-//!   latencies) are host-dependent diagnostics; they appear only in
+//! * [`Domain::Wall`] metrics (the live runtime's barrier waits) are
+//!   host-dependent diagnostics; they appear only in
 //!   [`Registry::snapshot_all`] and never in the deterministic export.
 //!
 //! There is no ambient clock anywhere in this crate: callers pass the

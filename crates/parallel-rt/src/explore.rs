@@ -24,7 +24,7 @@
 //!    [`search::StrategyReport`] that either certifies race-freedom
 //!    over the explored space or carries a replayable
 //!    [`search::Counterexample`];
-//! 5. [`shrink`] — delta-debugging the counterexample's choice string
+//! 5. [`shrink`](mod@shrink) — delta-debugging the counterexample's choice string
 //!    to a 1-minimal schedule that still exposes the same race
 //!    signature.
 //!

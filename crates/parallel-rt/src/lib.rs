@@ -17,7 +17,7 @@
 //! | `#pragma omp single` / `master` | [`ThreadCtx::single`] / [`ThreadCtx::if_master`] |
 //! | `#pragma omp sections` | [`Team::sections`] |
 //! | `OMP_NUM_THREADS` | the `PRT_NUM_THREADS` environment variable |
-//! | master–worker pattern | [`master_worker`] |
+//! | master–worker pattern | [`master_worker`](mod@master_worker) |
 //!
 //! Two backends share the constructs:
 //! * **real threads** (`std::thread::scope`) — correct everywhere, but on

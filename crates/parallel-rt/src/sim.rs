@@ -112,6 +112,14 @@ pub struct SimLoopOutcome {
 }
 
 impl SimLoopOutcome {
+    fn new(assignment: &[Vec<std::ops::Range<usize>>], report: RunReport) -> Self {
+        SimLoopOutcome {
+            cycles: report.total_cycles,
+            iterations_per_thread: iterations_per_thread(assignment),
+            report,
+        }
+    }
+
     /// Largest minus smallest per-thread iteration count.
     pub fn imbalance(&self) -> usize {
         let max = self
@@ -171,6 +179,14 @@ pub fn plan_assignment(
             threads,
         ),
     }
+}
+
+/// Iterations each thread of `assignment` runs.
+fn iterations_per_thread(assignment: &[Vec<std::ops::Range<usize>>]) -> Vec<usize> {
+    assignment
+        .iter()
+        .map(|chunks| chunks.iter().map(|c| c.len()).sum())
+        .collect()
 }
 
 /// Assigns chunks in order to the least-loaded thread (ties to the
@@ -247,6 +263,21 @@ pub fn lower_programs(
         .collect()
 }
 
+/// Plans the loop and lowers the plan to one program per thread: the
+/// step every `simulate_parallel_loop*` entry point shares.
+fn plan_and_lower(
+    iterations: usize,
+    cost: &CostModel,
+    schedule: Schedule,
+    threads: usize,
+    opts: &SimOptions,
+    lowering: Lowering,
+) -> (Vec<Vec<std::ops::Range<usize>>>, Vec<Program>) {
+    let assignment = plan_assignment(iterations, cost, schedule, threads);
+    let programs = lower_programs(&assignment, cost, opts.fork_overhead, lowering);
+    (assignment, programs)
+}
+
 /// Simulates the loop run by `threads` software threads on the
 /// configured machine, using the O(chunks) run-length-encoded lowering.
 pub fn simulate_parallel_loop(
@@ -273,7 +304,8 @@ pub fn simulate_parallel_loop_with_metrics(
     opts: &SimOptions,
     registry: &obs::Registry,
 ) -> SimLoopOutcome {
-    let assignment = plan_assignment(iterations, cost, schedule, threads);
+    let (assignment, programs) =
+        plan_and_lower(iterations, cost, schedule, threads, opts, Lowering::Rle);
     let chunk_sizes = registry.histogram(
         &format!("parallel_rt/chunks/{}", schedule.label()),
         obs::Domain::Virtual,
@@ -292,17 +324,8 @@ pub fn simulate_parallel_loop_with_metrics(
         }
         chunk_sizes.record_n(size, n);
     }
-    let iterations_per_thread: Vec<usize> = assignment
-        .iter()
-        .map(|chunks| chunks.iter().map(|c| c.len()).sum())
-        .collect();
-    let programs = lower_programs(&assignment, cost, opts.fork_overhead, Lowering::Rle);
     let report = Machine::new(opts.machine).run_with_metrics(programs, registry);
-    SimLoopOutcome {
-        cycles: report.total_cycles,
-        iterations_per_thread,
-        report,
-    }
+    SimLoopOutcome::new(&assignment, report)
 }
 
 /// [`simulate_parallel_loop`] additionally recording the deterministic
@@ -320,12 +343,8 @@ pub fn simulate_parallel_loop_traced(
     opts: &SimOptions,
     tcfg: &obs::trace::TraceConfig,
 ) -> (SimLoopOutcome, obs::trace::Trace) {
-    let assignment = plan_assignment(iterations, cost, schedule, threads);
-    let iterations_per_thread: Vec<usize> = assignment
-        .iter()
-        .map(|chunks| chunks.iter().map(|c| c.len()).sum())
-        .collect();
-    let programs = lower_programs(&assignment, cost, opts.fork_overhead, Lowering::Rle);
+    let (assignment, programs) =
+        plan_and_lower(iterations, cost, schedule, threads, opts, Lowering::Rle);
     let (report, mut trace) = Machine::new(opts.machine).run_with_trace(programs, tcfg);
     let mut dispatch =
         obs::trace::TraceBuffer::new(trace.next_lane(), "dispatch", tcfg.capacity_per_lane);
@@ -342,12 +361,7 @@ pub fn simulate_parallel_loop_traced(
         }
     }
     trace.absorb(dispatch);
-    let outcome = SimLoopOutcome {
-        cycles: report.total_cycles,
-        iterations_per_thread,
-        report,
-    };
-    (outcome, trace)
+    (SimLoopOutcome::new(&assignment, report), trace)
 }
 
 /// [`simulate_parallel_loop`] with an explicit lowering choice.
@@ -359,18 +373,10 @@ pub fn simulate_parallel_loop_lowered(
     opts: &SimOptions,
     lowering: Lowering,
 ) -> SimLoopOutcome {
-    let assignment = plan_assignment(iterations, cost, schedule, threads);
-    let iterations_per_thread: Vec<usize> = assignment
-        .iter()
-        .map(|chunks| chunks.iter().map(|c| c.len()).sum())
-        .collect();
-    let programs = lower_programs(&assignment, cost, opts.fork_overhead, lowering);
+    let (assignment, programs) =
+        plan_and_lower(iterations, cost, schedule, threads, opts, lowering);
     let report = Machine::new(opts.machine).run(programs);
-    SimLoopOutcome {
-        cycles: report.total_cycles,
-        iterations_per_thread,
-        report,
-    }
+    SimLoopOutcome::new(&assignment, report)
 }
 
 /// Cumulative chunk costs for one thread of a lowered loop: `cum[j]` is
@@ -458,10 +464,7 @@ impl LoweredLoop {
     /// and builds the shared prefix tables.
     pub fn plan(iterations: usize, cost: &CostModel, schedule: Schedule, threads: usize) -> Self {
         let assignment = plan_assignment(iterations, cost, schedule, threads);
-        let iterations_per_thread = assignment
-            .iter()
-            .map(|chunks| chunks.iter().map(|c| c.len()).sum())
-            .collect();
+        let iterations_per_thread = iterations_per_thread(&assignment);
         let prefix = assignment
             .iter()
             .map(|chunks| PrefixTable::build(chunks, cost))

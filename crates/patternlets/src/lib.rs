@@ -16,7 +16,7 @@
 //!   [`barrier_demo`] (coordination, thread count from the command
 //!   line), and [`masterworker_demo`].
 //!
-//! [`catalog`] indexes them all with the assignment each belongs to.
+//! [`catalog`](mod@catalog) indexes them all with the assignment each belongs to.
 //!
 //! ```
 //! // The fork-join patternlet: hello lines appear between fork and join.

@@ -14,13 +14,13 @@ pub enum AbstractInsn {
         /// The constant being materialised.
         value: u32,
     },
-    /// reg = memory[addr].
+    /// reg = memory\[addr\].
     LoadMemory,
-    /// memory[addr] = reg.
+    /// memory\[addr\] = reg.
     StoreMemory,
     /// reg = reg + reg.
     AddRegisters,
-    /// reg = reg + memory[addr] — only CISC can fold the load.
+    /// reg = reg + memory\[addr\] — only CISC can fold the load.
     AddMemoryOperand,
     /// Unconditional branch.
     Branch,

@@ -235,15 +235,20 @@ impl Machine {
     /// Creates a machine with the given configuration.
     ///
     /// # Panics
-    /// Panics on a zero core count, a zero quantum or a zero
-    /// `mem_ops_per_slice` (every slice would end before doing anything,
-    /// forever).
+    /// Panics on a zero core count, a zero quantum, a zero
+    /// `mem_ops_per_slice`, or a `context_switch` of a whole quantum or
+    /// more (every slice would end before doing anything, forever: on
+    /// an oversubscribed core each switch uses up the slice it starts).
     pub fn new(config: MachineConfig) -> Self {
         assert!(config.cores >= 1, "need at least one core");
         assert!(config.quantum >= 1, "quantum must be positive");
         assert!(
             config.mem_ops_per_slice >= 1,
             "mem_ops_per_slice must be positive"
+        );
+        assert!(
+            config.context_switch < config.quantum,
+            "context_switch must be shorter than the quantum"
         );
         Machine { config }
     }
@@ -1371,6 +1376,16 @@ mod tests {
     fn zero_mem_ops_per_slice_panics() {
         let _ = Machine::new(MachineConfig {
             mem_ops_per_slice: 0,
+            ..MachineConfig::pi()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "context_switch must be shorter than the quantum")]
+    fn context_switch_of_a_whole_quantum_panics() {
+        let _ = Machine::new(MachineConfig {
+            quantum: 1_000,
+            context_switch: 1_000,
             ..MachineConfig::pi()
         });
     }

@@ -1,34 +1,10 @@
 //! The engine proper: chunked work queue, scoped workers, in-order
 //! result assembly.
 
+use std::ops::Range;
+
 use crossbeam::channel;
 use stats::rng::{StreamSeeder, Xoshiro256};
-
-/// Nanosecond bucket edges for the chunk-latency histogram: 1 µs to 1 s
-/// in decades.
-const LATENCY_EDGES_NS: [u64; 7] = [
-    1_000,
-    10_000,
-    100_000,
-    1_000_000,
-    10_000_000,
-    100_000_000,
-    1_000_000_000,
-];
-
-/// Metric handles recorded by [`ReplicationEngine::run_with_metrics`].
-///
-/// The virtual-domain counters (chunks dispatched, replicates
-/// completed) are functions of the batch shape alone, so they are
-/// byte-identical across thread counts — like the results themselves.
-/// Chunk latency and worker drains are host timing and live in the wall
-/// domain.
-struct EngineMetrics {
-    chunks_dispatched: obs::Counter,
-    replicates_completed: obs::Counter,
-    worker_drains: obs::Counter,
-    chunk_latency: obs::Histogram,
-}
 
 /// Replicates handed to a worker per queue message. Small enough that a
 /// straggler replicate cannot serialise the tail of a batch, large
@@ -97,6 +73,14 @@ impl ReplicationEngine {
         self.threads
     }
 
+    /// The chunk layout this engine gives a batch of `replicates`.
+    pub fn shape(&self, replicates: usize) -> BatchShape {
+        BatchShape {
+            replicates,
+            chunk: self.chunk,
+        }
+    }
+
     /// Runs `replicates` instances of `body`, replicate `i` seeing only
     /// its [`ReplicateCtx`] (index `i`, seed split from `master_seed`),
     /// and returns the results in replicate order.
@@ -105,136 +89,12 @@ impl ReplicationEngine {
         T: Send,
         F: Fn(&ReplicateCtx) -> T + Sync,
     {
-        self.run_impl(replicates, master_seed, None, body)
-    }
-
-    /// [`run`](Self::run), recording engine metrics into `registry`:
-    /// virtual counters `replicate/chunks_dispatched` and
-    /// `replicate/replicates_completed` (batch shape only, so identical
-    /// for every thread count), plus wall-domain diagnostics
-    /// `replicate/chunk_latency_ns` (per-chunk wall latency histogram)
-    /// and `replicate/worker_drains` (workers that drained the queue to
-    /// disconnection). The batch itself is bit-identical to `run`.
-    pub fn run_with_metrics<T, F>(
-        &self,
-        replicates: usize,
-        master_seed: u64,
-        registry: &obs::Registry,
-        body: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&ReplicateCtx) -> T + Sync,
-    {
-        let metrics = EngineMetrics {
-            chunks_dispatched: registry
-                .counter("replicate/chunks_dispatched", obs::Domain::Virtual),
-            replicates_completed: registry
-                .counter("replicate/replicates_completed", obs::Domain::Virtual),
-            worker_drains: registry.counter("replicate/worker_drains", obs::Domain::Wall),
-            chunk_latency: registry.histogram(
-                "replicate/chunk_latency_ns",
-                obs::Domain::Wall,
-                &LATENCY_EDGES_NS,
-            ),
-        };
-        self.run_impl(replicates, master_seed, Some(&metrics), body)
-    }
-
-    /// [`run`](Self::run), additionally recording the deterministic
-    /// chunk-lifecycle trace.
-    ///
-    /// The engine's virtual clock is the **replicate index**: chunk
-    /// `k` covering replicates `start..end` becomes a span from
-    /// `start` to `end` on the `chunks` lane, with a running
-    /// `completed` counter sample at each chunk boundary. Chunk
-    /// boundaries are a pure function of the batch shape
-    /// (`replicates`, chunk size) — never of which OS worker happened
-    /// to grab a chunk — so the trace, like the batch itself, is
-    /// byte-identical for every thread count. Wall-clock chunk timing
-    /// stays where it was: in the `Domain::Wall` metrics of
-    /// [`run_with_metrics`](Self::run_with_metrics).
-    pub fn run_traced<T, F>(
-        &self,
-        replicates: usize,
-        master_seed: u64,
-        tcfg: &obs::trace::TraceConfig,
-        body: F,
-    ) -> (Vec<T>, obs::trace::Trace)
-    where
-        T: Send,
-        F: Fn(&ReplicateCtx) -> T + Sync,
-    {
-        use obs::trace::category;
-        let out = self.run_impl(replicates, master_seed, None, body);
-        let mut rec = obs::trace::TraceRecorder::new(tcfg);
-        let lane = rec.lane("chunks");
-        let buf = rec.buf(lane);
-        let mut start = 0;
-        let mut chunk_no = 0u64;
-        while start < replicates {
-            let end = (start + self.chunk).min(replicates);
-            buf.begin(
-                start as u64,
-                format!("chunk/{chunk_no}"),
-                category::CHUNK,
-                (end - start) as u64,
-            );
-            buf.counter(end as u64, "completed", category::CHUNK, end as u64);
-            buf.end(end as u64);
-            start = end;
-            chunk_no += 1;
-        }
-        (out, rec.finish())
-    }
-
-    /// [`run`](Self::run), additionally recording deterministic
-    /// engine time series into `series`.
-    ///
-    /// Like [`run_traced`](Self::run_traced), the virtual clock is the
-    /// **replicate index**, so every recorded point is a pure function
-    /// of the batch shape and identical for every worker-thread count:
-    ///
-    /// * `replicate/chunk_span` — histogram of chunk widths (the tail
-    ///   chunk is the interesting bucket), windowed by replicate index;
-    /// * `replicate/queue_occupancy` — gauge of replicates still
-    ///   queued after each chunk is taken;
-    /// * `replicate/completed` — counter of replicates finished per
-    ///   window.
-    ///
-    /// Wall-clock chunk latency stays in the `Domain::Wall` metrics of
-    /// [`run_with_metrics`](Self::run_with_metrics); it never enters
-    /// an exported series.
-    pub fn run_with_timeseries<T, F>(
-        &self,
-        replicates: usize,
-        master_seed: u64,
-        series: &mut obs::SeriesSet,
-        body: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&ReplicateCtx) -> T + Sync,
-    {
-        const SPAN_EDGES: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
-        let out = self.run_impl(replicates, master_seed, None, body);
-        let shard = obs::CLUSTER_SHARD;
-        let mut start = 0;
-        while start < replicates {
-            let end = (start + self.chunk).min(replicates);
-            let vt = start as u64;
-            series
-                .histogram("replicate/chunk_span", shard, true, &SPAN_EDGES)
-                .record(vt, (end - start) as u64);
-            series
-                .gauge("replicate/queue_occupancy", shard, true)
-                .record(vt, (replicates - end) as u64);
-            series
-                .counter("replicate/completed", shard, true)
-                .record(vt, (end - start) as u64);
-            start = end;
-        }
-        out
+        self.run_chunked(
+            replicates,
+            master_seed,
+            || (),
+            |_scratch, ctxs| ctxs.iter().map(&body).collect(),
+        )
     }
 
     /// Runs `replicates` replicates with a **chunk-granular** body: the
@@ -265,87 +125,37 @@ impl ReplicationEngine {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, &[ReplicateCtx]) -> Vec<T> + Sync,
     {
-        self.run_chunked_impl(replicates, master_seed, None, init, chunk_body)
-    }
-
-    fn run_impl<T, F>(
-        &self,
-        replicates: usize,
-        master_seed: u64,
-        metrics: Option<&EngineMetrics>,
-        body: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&ReplicateCtx) -> T + Sync,
-    {
-        self.run_chunked_impl(
-            replicates,
-            master_seed,
-            metrics,
-            || (),
-            |_scratch, ctxs| ctxs.iter().map(&body).collect(),
-        )
-    }
-
-    fn run_chunked_impl<S, T, I, F>(
-        &self,
-        replicates: usize,
-        master_seed: u64,
-        metrics: Option<&EngineMetrics>,
-        init: I,
-        chunk_body: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, &[ReplicateCtx]) -> Vec<T> + Sync,
-    {
-        if let Some(m) = metrics {
-            // Batch shape only — the same on the inline and threaded
-            // paths, so the virtual snapshot is thread-count invariant.
-            m.chunks_dispatched
-                .add(replicates.div_ceil(self.chunk) as u64);
-            m.replicates_completed.add(replicates as u64);
-        }
         let seeder = StreamSeeder::new(master_seed);
         let ctx = |index: usize| ReplicateCtx {
             index,
             seed: seeder.split_seed(index as u64),
         };
-        let run_chunk =
-            |scratch: &mut S, ctxs: &mut Vec<ReplicateCtx>, range: std::ops::Range<usize>| {
-                ctxs.clear();
-                ctxs.extend(range.clone().map(&ctx));
-                let values = chunk_body(scratch, ctxs.as_slice());
-                assert_eq!(
-                    values.len(),
-                    range.len(),
-                    "chunk body must return one value per replicate"
-                );
-                values
-            };
+        let run_chunk = |scratch: &mut S, ctxs: &mut Vec<ReplicateCtx>, range: Range<usize>| {
+            ctxs.clear();
+            ctxs.extend(range.clone().map(&ctx));
+            let values = chunk_body(scratch, ctxs.as_slice());
+            assert_eq!(
+                values.len(),
+                range.len(),
+                "chunk body must return one value per replicate"
+            );
+            values
+        };
         if self.threads <= 1 || replicates <= 1 {
             let mut scratch = init();
             let mut ctxs = Vec::with_capacity(self.chunk);
             let mut out = Vec::with_capacity(replicates);
-            let mut start = 0;
-            while start < replicates {
-                let end = (start + self.chunk).min(replicates);
-                out.extend(run_chunk(&mut scratch, &mut ctxs, start..end));
-                start = end;
+            for range in self.shape(replicates).chunks() {
+                out.extend(run_chunk(&mut scratch, &mut ctxs, range));
             }
             return out;
         }
 
         // Enqueue every chunk up front (the channel is unbounded), then
         // let workers drain the queue; disconnection is the turnstile.
-        let (chunk_tx, chunk_rx) = channel::unbounded::<std::ops::Range<usize>>();
-        let mut start = 0;
-        while start < replicates {
-            let end = (start + self.chunk).min(replicates);
-            chunk_tx.send(start..end).expect("queue is open");
-            start = end;
+        let (chunk_tx, chunk_rx) = channel::unbounded::<Range<usize>>();
+        for range in self.shape(replicates).chunks() {
+            chunk_tx.send(range).expect("queue is open");
         }
         drop(chunk_tx);
 
@@ -362,18 +172,10 @@ impl ReplicationEngine {
                     let mut ctxs = Vec::with_capacity(self.chunk);
                     while let Ok(range) = chunk_rx.recv() {
                         let base = range.start;
-                        let started = metrics.map(|_| std::time::Instant::now());
                         let values = run_chunk(&mut scratch, &mut ctxs, range);
-                        if let (Some(m), Some(t0)) = (metrics, started) {
-                            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                            m.chunk_latency.record(ns);
-                        }
                         if result_tx.send((base, values)).is_err() {
                             break;
                         }
-                    }
-                    if let Some(m) = metrics {
-                        m.worker_drains.incr();
                     }
                 });
             }
@@ -389,6 +191,62 @@ impl ReplicationEngine {
             .into_iter()
             .map(|slot| slot.expect("every chunk completes"))
             .collect()
+    }
+}
+
+/// The chunk layout of one batch: `replicates` replicates cut into
+/// work-queue chunks of the engine's chunk width, the last one possibly
+/// narrower. It is a pure function of the replicate count and the
+/// chunk width — never of the thread count or of which worker took
+/// which chunk — so everything derived from it here is byte-identical
+/// for every thread count, like the batch itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchShape {
+    replicates: usize,
+    chunk: usize,
+}
+
+impl BatchShape {
+    /// The replicate range of each chunk, in queue order.
+    pub fn chunks(self) -> impl Iterator<Item = Range<usize>> {
+        (0..self.replicates)
+            .step_by(self.chunk)
+            .map(move |start| start..(start + self.chunk).min(self.replicates))
+    }
+
+    /// Records the batch's virtual counters into `registry`:
+    /// `replicate/chunks_dispatched` and
+    /// `replicate/replicates_completed`.
+    pub fn record_metrics(&self, registry: &obs::Registry) {
+        registry
+            .counter("replicate/chunks_dispatched", obs::Domain::Virtual)
+            .add(self.replicates.div_ceil(self.chunk) as u64);
+        registry
+            .counter("replicate/replicates_completed", obs::Domain::Virtual)
+            .add(self.replicates as u64);
+    }
+
+    /// The batch's chunk-lifecycle trace. Its virtual clock is the
+    /// **replicate index**: chunk `k` covering replicates `start..end`
+    /// is a span from `start` to `end` on the `chunks` lane, with a
+    /// running `completed` counter sample at each chunk boundary.
+    pub fn trace(&self, tcfg: &obs::trace::TraceConfig) -> obs::trace::Trace {
+        use obs::trace::category;
+        let mut rec = obs::trace::TraceRecorder::new(tcfg);
+        let lane = rec.lane("chunks");
+        let buf = rec.buf(lane);
+        for (chunk_no, range) in self.chunks().enumerate() {
+            let (start, end) = (range.start as u64, range.end as u64);
+            buf.begin(
+                start,
+                format!("chunk/{chunk_no}"),
+                category::CHUNK,
+                end - start,
+            );
+            buf.counter(end, "completed", category::CHUNK, end);
+            buf.end(end);
+        }
+        rec.finish()
     }
 }
 
@@ -467,80 +325,43 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_run_is_bit_identical_and_virtual_metrics_are_thread_invariant() {
-        let plain = ReplicationEngine::new(4)
-            .with_chunk(8)
-            .run(100, 11, replicate_body);
-        let mut virtual_json: Vec<String> = Vec::new();
-        for threads in [1, 2, 4, 8] {
-            let registry = obs::Registry::new();
-            let engine = ReplicationEngine::new(threads).with_chunk(8);
-            let got = engine.run_with_metrics(100, 11, &registry, replicate_body);
-            assert_eq!(plain, got, "threads={threads}");
-            virtual_json.push(registry.snapshot().to_json());
-        }
-        // The virtual snapshot (chunks dispatched, replicates completed)
-        // is byte-identical for every thread count, like the batch.
-        for json in &virtual_json[1..] {
-            assert_eq!(&virtual_json[0], json);
-        }
-        assert!(virtual_json[0].contains("replicate/chunks_dispatched"));
-        assert!(virtual_json[0].contains("replicate/replicates_completed"));
-        // Wall diagnostics never leak into the deterministic snapshot,
-        // but the threaded path does record them.
-        assert!(!virtual_json[0].contains("replicate/chunk_latency_ns"));
+    fn batch_shape_tiles_the_batch_and_counts_it() {
+        let shape = ReplicationEngine::new(4).with_chunk(8).shape(100);
+        let chunks: Vec<_> = shape.chunks().collect();
+        assert_eq!(chunks.len(), 13);
+        assert_eq!(chunks[0], 0..8);
+        assert_eq!(chunks[12], 96..100, "the tail chunk is narrower");
+        assert!(chunks.windows(2).all(|w| w[0].end == w[1].start));
+        assert_eq!(ReplicationEngine::new(1).shape(0).chunks().count(), 0);
+
         let registry = obs::Registry::new();
-        let _ = ReplicationEngine::new(4).with_chunk(8).run_with_metrics(
-            100,
-            11,
-            &registry,
-            replicate_body,
+        shape.record_metrics(&registry);
+        let counters: Vec<(String, u64)> = registry
+            .snapshot()
+            .metrics
+            .into_iter()
+            .map(|m| match m.data {
+                obs::MetricData::Counter { value } => (m.name, value),
+                other => panic!("expected counter, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            counters,
+            [
+                ("replicate/chunks_dispatched".to_string(), 13),
+                ("replicate/replicates_completed".to_string(), 100),
+            ]
         );
-        let all = registry.snapshot_all();
-        let latency = all
-            .metrics
-            .iter()
-            .find(|m| m.name == "replicate/chunk_latency_ns")
-            .expect("latency histogram registered");
-        match &latency.data {
-            obs::MetricData::Histogram { count, .. } => assert_eq!(*count, 13),
-            other => panic!("expected histogram, got {other:?}"),
-        }
-        let drains = all
-            .metrics
-            .iter()
-            .find(|m| m.name == "replicate/worker_drains")
-            .expect("drain counter registered");
-        match &drains.data {
-            obs::MetricData::Counter { value } => assert_eq!(*value, 4),
-            other => panic!("expected counter, got {other:?}"),
-        }
     }
 
     #[test]
-    fn traced_run_is_bit_identical_and_trace_is_thread_invariant() {
-        let tcfg = obs::trace::TraceConfig::default();
-        let plain = ReplicationEngine::new(4)
-            .with_chunk(8)
-            .run(100, 11, replicate_body);
-        let mut exports: Vec<String> = Vec::new();
-        for threads in [1, 2, 4, 8] {
-            let engine = ReplicationEngine::new(threads).with_chunk(8);
-            let (got, trace) = engine.run_traced(100, 11, &tcfg, replicate_body);
-            assert_eq!(plain, got, "threads={threads}");
-            exports.push(trace.to_chrome_json());
-        }
-        // Chunk lifecycles are keyed by replicate index, not OS worker,
-        // so the export is byte-identical for every thread count.
-        for json in &exports[1..] {
-            assert_eq!(&exports[0], json);
-        }
+    fn batch_shape_trace_spans_each_chunk_in_replicate_index_time() {
         // 100 replicates in chunks of 8 → 13 chunk spans, last counter
         // sample reads 100 completed at virtual time 100.
-        let (_, trace) =
-            ReplicationEngine::new(4)
-                .with_chunk(8)
-                .run_traced(100, 11, &tcfg, replicate_body);
+        let trace = ReplicationEngine::new(4)
+            .with_chunk(8)
+            .shape(100)
+            .trace(&obs::trace::TraceConfig::default());
         let chunks = trace
             .events
             .iter()
@@ -557,50 +378,6 @@ mod tests {
             .expect("completed counter");
         assert_eq!(completed.samples, 13);
         assert_eq!(completed.last, 100);
-    }
-
-    #[test]
-    fn timeseries_run_is_bit_identical_and_series_thread_invariant() {
-        let plain = ReplicationEngine::new(4)
-            .with_chunk(8)
-            .run(100, 11, replicate_body);
-        let mut exports: Vec<String> = Vec::new();
-        for threads in [1, 2, 4, 8] {
-            let mut series = obs::SeriesSet::new(8, 64);
-            let got = ReplicationEngine::new(threads)
-                .with_chunk(8)
-                .run_with_timeseries(100, 11, &mut series, replicate_body);
-            assert_eq!(plain, got, "threads={threads}");
-            exports.push(series.to_json());
-        }
-        // Every point is a pure function of the batch shape, so the
-        // export is byte-identical for every thread count.
-        for json in &exports[1..] {
-            assert_eq!(&exports[0], json);
-        }
-        // 100 replicates in chunks of 8: the tail chunk is 4 wide, the
-        // queue drains to 0, and completions sum to 100.
-        let mut series = obs::SeriesSet::new(8, 64);
-        ReplicationEngine::new(2).with_chunk(8).run_with_timeseries(
-            100,
-            11,
-            &mut series,
-            replicate_body,
-        );
-        let spans = series
-            .get("replicate/chunk_span", obs::CLUSTER_SHARD)
-            .expect("span series");
-        let total_chunks: u64 = spans.points().map(|p| p.count).sum();
-        assert_eq!(total_chunks, 13);
-        let occupancy = series
-            .get("replicate/queue_occupancy", obs::CLUSTER_SHARD)
-            .expect("occupancy series");
-        assert_eq!(occupancy.points().last().unwrap().value, 0);
-        let completed = series
-            .get("replicate/completed", obs::CLUSTER_SHARD)
-            .expect("completed series");
-        let total: u64 = completed.points().map(|p| p.value).sum();
-        assert_eq!(total, 100);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!
 //! Work is distributed over a chunked [`crossbeam::channel`] queue
 //! (chunks amortise channel traffic; idle workers pull the next chunk,
-//! so an expensive replicate does not stall the batch).
+//! so an expensive replicate does not stall the batch). Observation
+//! reads the batch's [`BatchShape`] after the run: its chunk counters
+//! and chunk-lifecycle trace depend on the batch size and chunk width
+//! alone, never on the thread count.
 //!
 //! ```
 //! use replicate::ReplicationEngine;
@@ -39,5 +42,5 @@
 
 mod engine;
 
-pub use engine::{ReplicateCtx, ReplicationEngine, DEFAULT_CHUNK};
+pub use engine::{BatchShape, ReplicateCtx, ReplicationEngine, DEFAULT_CHUNK};
 pub use stats::rng::{StreamSeeder, Xoshiro256};

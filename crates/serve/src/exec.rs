@@ -126,37 +126,33 @@ pub fn execute(spec: &JobSpec) -> JobResult {
                 ..Default::default()
             };
             let texts = corpus(*docs, *seed);
-            match workload {
+            let (stats, payload) = match workload {
                 MrWorkload::WordCount => {
-                    let out = mapreduce::run_job_with_metrics(
-                        &mapreduce::examples::WordCount,
-                        texts,
-                        &config,
-                        &registry,
-                    );
-                    render_counts("wordcount", &out.results)
+                    let out = mapreduce::run_job(&mapreduce::examples::WordCount, texts, &config);
+                    (out.stats, render_counts("wordcount", &out.results))
                 }
                 MrWorkload::InvertedIndex => {
-                    let out = mapreduce::run_job_with_metrics(
+                    let out = mapreduce::run_job(
                         &mapreduce::examples::InvertedIndex,
                         texts.into_iter().enumerate().collect(),
                         &config,
-                        &registry,
                     );
-                    render_postings("inverted_index", &out.results)
+                    (out.stats, render_postings("inverted_index", &out.results))
                 }
                 MrWorkload::Grep { pattern } => {
-                    let out = mapreduce::run_job_with_metrics(
+                    let out = mapreduce::run_job(
                         &mapreduce::examples::Grep {
                             pattern: pattern.clone(),
                         },
                         texts.into_iter().enumerate().collect(),
                         &config,
-                        &registry,
                     );
-                    render_postings(&format!("grep {pattern:?}"), &out.results)
+                    let title = format!("grep {pattern:?}");
+                    (out.stats, render_postings(&title, &out.results))
                 }
-            }
+            };
+            stats.record_metrics(&registry);
+            payload
         }
         JobSpec::Replication {
             replicates,
@@ -178,7 +174,8 @@ pub fn execute(spec: &JobSpec) -> JobResult {
                 bootstrap_reps: *bootstrap_reps as usize,
                 section_permutations: *section_permutations as usize,
             };
-            let report = pbl_core::replicate::run_replication_with_metrics(&cfg, &registry);
+            let report = pbl_core::replicate::run_replication_batched(&cfg);
+            report.record_metrics(&registry);
             format!(
                 "replication: {} replicates x {} students, master seed {}\ndigest: {:016x}\n",
                 replicates,

@@ -9,7 +9,7 @@
 //!
 //! The pieces, one module each:
 //!
-//! * [`spec`] — the typed [`JobSpec`](spec::JobSpec): a canonical byte
+//! * [`spec`] — the typed [`JobSpec`]: a canonical byte
 //!   encoding (injective by construction) whose FNV-1a digest is the
 //!   job's content address.
 //! * [`sched`] — weighted fair queueing with virtual-time ticket
@@ -18,7 +18,7 @@
 //!   single-flight deduplication.
 //! * [`exec`] — pure job execution with a per-job metrics registry.
 //! * [`service`] — admission control, the five-phase batch pipeline,
-//!   the worker pool, metrics and trace instrumentation.
+//!   the worker pool, and the batch report's metrics and trace.
 //! * [`workload`] — the synthetic course-week trace the serve
 //!   benchmark and CI determinism smoke replay, plus the open-loop
 //!   semester generator (seeded Poisson arrivals, deadline bursts,

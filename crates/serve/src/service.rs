@@ -223,6 +223,89 @@ impl BatchReport {
         s
     }
 
+    /// Records the batch counters and the virtual-sojourn histogram
+    /// into `registry`, all [`obs::Domain::Virtual`]: read from this
+    /// deterministic report, never from host timing.
+    pub fn record_metrics(&self, registry: &obs::Registry) {
+        use obs::Domain::Virtual;
+        let s = &self.stats;
+        for (name, value) in [
+            ("serve/submitted", s.submitted),
+            ("serve/accepted", s.accepted),
+            ("serve/rejected/queue_full", s.rejected_queue_full),
+            ("serve/rejected/tenant_cap", s.rejected_tenant_cap),
+            ("serve/rejected/invalid", s.rejected_invalid),
+            ("serve/cache/hits", s.hits),
+            ("serve/cache/joins", s.joins),
+            ("serve/jobs_computed", s.computed),
+            ("serve/cache/evictions", s.evictions),
+        ] {
+            registry.counter(name, Virtual).add(value);
+        }
+        let sojourn = registry.histogram("serve/sojourn_vt", Virtual, &SOJOURN_EDGES);
+        for v in self.sojourns_vt() {
+            sojourn.record(v);
+        }
+    }
+
+    /// The batch's scheduler trace: one lane per tenant carrying job
+    /// spans over `[start_vt, finish_vt]`, a cache lane of
+    /// hit/join/compute instants, and a queue-depth counter lane — all
+    /// in WFQ virtual time, so the trace is byte-identical for any
+    /// worker count. `submissions` must be the batch this report came
+    /// from; it supplies each job's tenant, kind and cost estimate.
+    pub fn trace(
+        &self,
+        submissions: &[Submission],
+        tcfg: &obs::trace::TraceConfig,
+    ) -> obs::trace::Trace {
+        use obs::trace::category;
+        let mut tenants: Vec<u32> = self
+            .dispatch
+            .iter()
+            .map(|&i| submissions[i].tenant)
+            .collect();
+        tenants.sort_unstable();
+        tenants.dedup();
+
+        let mut rec = obs::trace::TraceRecorder::new(tcfg);
+        let lane_of: HashMap<u32, u32> = tenants
+            .iter()
+            .map(|&t| (t, rec.lane(format!("tenant/{t}"))))
+            .collect();
+        let cache_lane = rec.lane("cache");
+        let queue_lane = rec.lane("queue_depth");
+
+        let total = self.dispatch.len() as u64;
+        for (pos, &index) in self.dispatch.iter().enumerate() {
+            let JobOutcome::Done(done) = &self.outcomes[index] else {
+                continue;
+            };
+            let sub = &submissions[index];
+            let lane = lane_of[&sub.tenant];
+            rec.buf(lane).begin(
+                done.start_vt,
+                format!("{}#{index}", sub.spec.kind()),
+                category::JOB,
+                sub.spec.cost_estimate(),
+            );
+            rec.buf(lane).end(done.finish_vt);
+            rec.buf(cache_lane).instant(
+                done.finish_vt,
+                done.source.label(),
+                category::CACHE,
+                index as u64,
+            );
+            rec.buf(queue_lane).counter(
+                done.finish_vt,
+                "queue_depth",
+                category::QUEUE,
+                total - pos as u64 - 1,
+            );
+        }
+        rec.finish()
+    }
+
     /// Nearest-rank percentile (`p` in 0..=1) of the virtual sojourns;
     /// 0 when nothing was served.
     pub fn sojourn_percentile_vt(&self, p: f64) -> u64 {
@@ -378,99 +461,6 @@ impl Service {
             dispatch,
             stats,
         }
-    }
-
-    /// [`run_batch`](Service::run_batch), additionally recording the
-    /// batch counters and the virtual-sojourn histogram into
-    /// `registry` (all [`obs::Domain::Virtual`] — derived from the
-    /// deterministic report, never from host timing). The report is
-    /// bit-identical to the uninstrumented run.
-    pub fn run_batch_with_metrics(
-        &self,
-        submissions: &[Submission],
-        registry: &obs::Registry,
-    ) -> BatchReport {
-        use obs::Domain::Virtual;
-        let report = self.run_batch(submissions);
-        let s = &report.stats;
-        for (name, value) in [
-            ("serve/submitted", s.submitted),
-            ("serve/accepted", s.accepted),
-            ("serve/rejected/queue_full", s.rejected_queue_full),
-            ("serve/rejected/tenant_cap", s.rejected_tenant_cap),
-            ("serve/rejected/invalid", s.rejected_invalid),
-            ("serve/cache/hits", s.hits),
-            ("serve/cache/joins", s.joins),
-            ("serve/jobs_computed", s.computed),
-            ("serve/cache/evictions", s.evictions),
-        ] {
-            registry.counter(name, Virtual).add(value);
-        }
-        let sojourn = registry.histogram("serve/sojourn_vt", Virtual, &SOJOURN_EDGES);
-        for v in report.sojourns_vt() {
-            sojourn.record(v);
-        }
-        report
-    }
-
-    /// [`run_batch`](Service::run_batch), additionally emitting the
-    /// deterministic scheduler trace: one lane per tenant carrying job
-    /// spans over `[start_vt, finish_vt]`, a cache lane of
-    /// hit/join/compute instants, and a queue-depth counter lane —
-    /// all in WFQ virtual time, so the trace is byte-identical for any
-    /// worker count. The report is bit-identical to the plain run.
-    pub fn run_batch_traced(
-        &self,
-        submissions: &[Submission],
-        tcfg: &obs::trace::TraceConfig,
-    ) -> (BatchReport, obs::trace::Trace) {
-        use obs::trace::category;
-        let report = self.run_batch(submissions);
-
-        let mut tenants: Vec<u32> = report
-            .dispatch
-            .iter()
-            .map(|&i| submissions[i].tenant)
-            .collect();
-        tenants.sort_unstable();
-        tenants.dedup();
-
-        let mut rec = obs::trace::TraceRecorder::new(tcfg);
-        let lane_of: HashMap<u32, u32> = tenants
-            .iter()
-            .map(|&t| (t, rec.lane(format!("tenant/{t}"))))
-            .collect();
-        let cache_lane = rec.lane("cache");
-        let queue_lane = rec.lane("queue_depth");
-
-        let total = report.dispatch.len() as u64;
-        for (pos, &index) in report.dispatch.iter().enumerate() {
-            let JobOutcome::Done(done) = &report.outcomes[index] else {
-                continue;
-            };
-            let sub = &submissions[index];
-            let lane = lane_of[&sub.tenant];
-            rec.buf(lane).begin(
-                done.start_vt,
-                format!("{}#{index}", sub.spec.kind()),
-                category::JOB,
-                sub.spec.cost_estimate(),
-            );
-            rec.buf(lane).end(done.finish_vt);
-            rec.buf(cache_lane).instant(
-                done.finish_vt,
-                done.source.label(),
-                category::CACHE,
-                index as u64,
-            );
-            rec.buf(queue_lane).counter(
-                done.finish_vt,
-                "queue_depth",
-                category::QUEUE,
-                total - pos as u64 - 1,
-            );
-        }
-        (report, rec.finish())
     }
 
     /// The live single-submission path with single-flight semantics:
@@ -659,6 +649,38 @@ mod tests {
     }
 
     #[test]
+    fn replication_specs_with_a_zero_count_reject_instead_of_panicking() {
+        let replication =
+            |permutations, bootstrap_reps, section_permutations| JobSpec::Replication {
+                replicates: 2,
+                num_students: 24,
+                master_seed: 11,
+                permutations,
+                bootstrap_reps,
+                section_permutations,
+            };
+        let subs: Vec<Submission> = [
+            replication(0, 150, 100),
+            replication(200, 0, 100),
+            replication(200, 150, 0),
+        ]
+        .into_iter()
+        .map(|spec| Submission::new(0, 1, spec))
+        .collect();
+        for sub in &subs {
+            assert_eq!(sub.spec.validate(), Err(SpecError::EmptyReplication));
+        }
+        let report = Service::new(ServiceConfig::default()).run_batch(&subs);
+        assert_eq!(report.stats.rejected_invalid, 3);
+        for outcome in &report.outcomes {
+            assert!(matches!(
+                outcome,
+                JobOutcome::Rejected(RejectReason::InvalidSpec(SpecError::EmptyReplication))
+            ));
+        }
+    }
+
+    #[test]
     fn baseline_disables_cache_and_dedup() {
         let subs: Vec<Submission> = (0..4)
             .map(|t| Submission::new(t, 1, loop_spec(1_000, 4)))
@@ -672,13 +694,12 @@ mod tests {
     }
 
     #[test]
-    fn metrics_do_not_perturb_the_report() {
+    fn recorded_metrics_cover_the_batch_counters() {
         let subs = small_batch();
-        let plain = Service::new(ServiceConfig::default()).run_batch(&subs);
         let registry = obs::Registry::new();
-        let instrumented =
-            Service::new(ServiceConfig::default()).run_batch_with_metrics(&subs, &registry);
-        assert_eq!(plain.digest(), instrumented.digest(), "observer effect");
+        Service::new(ServiceConfig::default())
+            .run_batch(&subs)
+            .record_metrics(&registry);
         let json = registry.snapshot().to_json();
         for needle in [
             "serve/submitted",
@@ -695,11 +716,12 @@ mod tests {
     fn trace_is_worker_count_invariant_and_places_jobs_on_tenant_lanes() {
         let subs = small_batch();
         let tcfg = obs::trace::TraceConfig::default();
-        let (report1, trace1) =
-            Service::new(ServiceConfig::with_workers(1)).run_batch_traced(&subs, &tcfg);
-        let (report4, trace4) =
-            Service::new(ServiceConfig::with_workers(4)).run_batch_traced(&subs, &tcfg);
-        assert_eq!(report1.digest(), report4.digest());
+        let trace = |workers| {
+            Service::new(ServiceConfig::with_workers(workers))
+                .run_batch(&subs)
+                .trace(&subs, &tcfg)
+        };
+        let (trace1, trace4) = (trace(1), trace(4));
         assert_eq!(trace1.to_chrome_json(), trace4.to_chrome_json());
         let json = trace1.to_chrome_json();
         for needle in ["tenant/0", "tenant/3", "cache", "queue_depth"] {

@@ -204,7 +204,8 @@ pub enum SpecError {
     BadThreadCount,
     /// A schedule chunk parameter was zero.
     ZeroChunk,
-    /// A replication batch with zero replicates or zero students.
+    /// A replication batch with zero replicates, fewer than four
+    /// students, or a zero permutation or bootstrap count.
     EmptyReplication,
     /// The report artefact name is not in the catalog (or is `all`,
     /// which is a composition of artefacts, not one job).
@@ -218,7 +219,10 @@ impl std::fmt::Display for SpecError {
         match self {
             SpecError::BadThreadCount => write!(f, "thread count must be 1..={MAX_THREADS}"),
             SpecError::ZeroChunk => write!(f, "schedule chunk must be >= 1"),
-            SpecError::EmptyReplication => write!(f, "replication needs replicates and students"),
+            SpecError::EmptyReplication => write!(
+                f,
+                "replication needs replicates, students, permutations and bootstrap resamples"
+            ),
             SpecError::UnknownArtefact => write!(f, "artefact not in the report catalog"),
             SpecError::EmptyCorpus => write!(f, "mapreduce corpus must be non-empty"),
         }
@@ -412,9 +416,18 @@ impl JobSpec {
             JobSpec::Replication {
                 replicates,
                 num_students,
+                permutations,
+                bootstrap_reps,
+                section_permutations,
                 ..
             } => {
-                if *replicates == 0 || *num_students < 4 {
+                let counts = [
+                    *replicates,
+                    *permutations,
+                    *bootstrap_reps,
+                    *section_permutations,
+                ];
+                if counts.contains(&0) || *num_students < 4 {
                     Err(SpecError::EmptyReplication)
                 } else {
                     Ok(())

@@ -22,7 +22,7 @@
 //! rejections against a 2% error budget, 1-day fast / 7-day slow
 //! windows) and two seasonal anomaly rules (per-shard p99 sojourn,
 //! cluster arrival volume). The clean semester stays quiet; the
-//! seeded [`Perturbation::storm`] provably fires both families.
+//! seeded [`Perturbation::storm`](crate::workload::Perturbation::storm) provably fires both families.
 
 use obs::alert::{self, AlertPolicy, AnomalyRule, BurnRateSlo, Timeline};
 use obs::timeseries::{SeriesSet, CLUSTER_SHARD};

@@ -32,7 +32,7 @@
 //! a bounded [`JobUniverse`] with Zipf-like popularity, so cache reuse
 //! is realistic: a hot head of shared exercises and a long cold tail
 //! of per-team explorations. Everything is derived from
-//! [`StreamSeeder`](stats::rng::StreamSeeder) streams and basic f64
+//! [`StreamSeeder`] streams and basic f64
 //! arithmetic (the Poisson inverse uses a local deterministic
 //! [`exp_neg`], never libm), so the arrival sequence is bit-identical
 //! on every host — no wall clock anywhere.

@@ -10,7 +10,7 @@
 //!   t-tests with exact two-sided p-values (Table 1).
 //! * [`cohen`] — Cohen's d with the paper's pooled-SD formula and the
 //!   small/medium/large interpretation bands (Tables 2–3).
-//! * [`pearson`] — Pearson correlation with significance and Guilford's
+//! * [`pearson`](mod@pearson) — Pearson correlation with significance and Guilford's
 //!   strength bands (Table 4).
 //! * [`composite`] — Beyerlein et al. composite scores (Tables 5–6).
 //! * [`ranking`] — ranked score lists and rank utilities (Tables 5–6).

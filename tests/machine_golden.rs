@@ -107,6 +107,10 @@ fn meeting_set(i: u64) -> (MachineConfig, Vec<Program>, TraceConfig) {
     let config = MachineConfig {
         cores: 2 + (i / 4) as usize,
         quantum,
+        // Below the quantum, as `Machine::new` requires. With one
+        // thread per core and no blocking no switch is ever charged, so
+        // the value enters none of the pinned bytes.
+        context_switch: quantum / 4,
         ..MachineConfig::pi()
     };
     let programs = (0..config.cores)

@@ -6,19 +6,6 @@
 use parallel_rt::sim::{simulate_parallel_loop_with_metrics, CostModel, SimOptions};
 use parallel_rt::Schedule;
 use pbl_core::experiments::metrics_snapshot;
-use pbl_core::replicate::{run_replication, run_replication_with_metrics, ReplicationConfig};
-
-fn small_config(threads: usize) -> ReplicationConfig {
-    ReplicationConfig {
-        replicates: 6,
-        threads,
-        num_students: 40,
-        master_seed: 20_180_824,
-        permutations: 300,
-        bootstrap_reps: 200,
-        section_permutations: 200,
-    }
-}
 
 #[test]
 fn metrics_snapshot_json_is_golden_across_runs_and_thread_counts() {
@@ -60,18 +47,4 @@ fn metrics_digests_match_the_committed_values() {
         &registry,
     );
     assert_eq!(registry.snapshot().digest(), 0xe54b_4fe1_9766_5836);
-}
-
-#[test]
-fn instrumentation_does_not_perturb_the_replication_batch() {
-    let plain = run_replication(&small_config(4));
-    for threads in [1, 8] {
-        let registry = obs::Registry::new();
-        let instrumented = run_replication_with_metrics(&small_config(threads), &registry);
-        assert_eq!(
-            plain.summaries, instrumented.summaries,
-            "threads = {threads}"
-        );
-        assert_eq!(plain.digest(), instrumented.digest());
-    }
 }

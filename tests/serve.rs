@@ -406,13 +406,14 @@ fn course_week_observation_matches_the_committed_digests() {
     let registry = obs::Registry::new();
     let service = Service::new(ServiceConfig::with_workers(4));
     for day in course_week() {
-        let _ = service.run_batch_with_metrics(&day, &registry);
+        service.run_batch(&day).record_metrics(&registry);
     }
     assert_eq!(registry.snapshot().digest(), 0x68c2_e773_4f88_8470);
 
     let monday = &course_week()[0];
-    let (_, trace) = Service::new(ServiceConfig::default())
-        .run_batch_traced(monday, &obs::trace::TraceConfig::default());
+    let trace = Service::new(ServiceConfig::default())
+        .run_batch(monday)
+        .trace(monday, &obs::trace::TraceConfig::default());
     assert_eq!(trace.digest(), 0x5b14_3f8c_002e_aa4a);
 }
 
