@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use classroom::{CohortData, StudyConfig};
-use pbl_core::replicate::{run_replication, ReplicationConfig};
+use pbl_core::replicate::{run_replication_batched, ReplicationConfig};
 use replicate::ReplicationEngine;
 use stats::resample::{
     bootstrap_ci, bootstrap_ci_par, permutation_test_paired, permutation_test_paired_par,
@@ -70,7 +70,7 @@ fn bench_replicate(c: &mut Criterion) {
             threads: 4,
             ..ReplicationConfig::default()
         };
-        b.iter(|| run_replication(black_box(&cfg)))
+        b.iter(|| run_replication_batched(black_box(&cfg)))
     });
 
     group.finish();

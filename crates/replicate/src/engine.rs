@@ -208,7 +208,7 @@ pub struct BatchShape {
 
 impl BatchShape {
     /// The replicate range of each chunk, in queue order.
-    pub fn chunks(self) -> impl Iterator<Item = Range<usize>> {
+    fn chunks(self) -> impl Iterator<Item = Range<usize>> {
         (0..self.replicates)
             .step_by(self.chunk)
             .map(move |start| start..(start + self.chunk).min(self.replicates))
