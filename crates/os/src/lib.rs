@@ -16,18 +16,18 @@
 //! * [`syscall`] — `fork/exec/wait/sleep/yield/kill/signal/exit`,
 //!   entered through an explicit trap step so every context switch is
 //!   a replayable event.
-//! * [`kernel`] — the machine: CPU cores, the OS timer, and the sleep
-//!   queue are [`pi_sim::event::Component`]s under one
-//!   [`pi_sim::event::Kernel`], so preemption interleaves with the
-//!   existing cache/bus model in a single deterministic virtual-time
-//!   order.
+//! * [`kernel`] — the machine: one event loop over the CPU cores and
+//!   the sleep queue, costing memory through pi-sim's cache hierarchy
+//!   and latency rule, so preemption interleaves with the cache/bus
+//!   model in a single deterministic virtual-time order.
 //! * [`study`] — the paper scenarios: the oversubscription sweep
 //!   (P processes on C cores) and static-vs-guided patternlet loops
 //!   executed as preemptible processes.
 //!
 //! Everything is bit-identical across runs and hosts: time is virtual,
-//! ties resolve by `(time, component registration order)`, and every
-//! report carries an FNV-1a digest that CI pins in `BENCH_os.json`.
+//! ties at one time go to the sleep queue and then to cores in index
+//! order, and every report carries an FNV-1a digest that CI pins in
+//! `BENCH_os.json`.
 //!
 //! ```
 //! use os::kernel::{Os, OsConfig};

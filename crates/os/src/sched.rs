@@ -21,11 +21,6 @@ pub trait Scheduler {
     fn pick(&mut self) -> Option<Pid>;
     /// Account `ran` cycles of CPU to `pcb` (vruntime bookkeeping).
     fn charge(&mut self, pcb: &mut Pcb, ran: Cycles);
-    /// The timeslice to grant `pcb`, given the configured default.
-    fn timeslice(&self, pcb: &Pcb, default_slice: Cycles) -> Cycles {
-        let _ = pcb;
-        default_slice
-    }
     /// Number of queued runnable processes.
     fn queued(&self) -> usize;
 }

@@ -17,9 +17,11 @@
 //! * [`soc`] — the SoC component inventory (Assignment 2/3 questions).
 //! * [`isa`] — ARM (RISC) vs x86 (CISC) instruction-set comparison model.
 //! * [`flynn`] — Flynn's taxonomy (the Assignment 3 classification).
-//! * [`event`] — virtual time and the `Component`/`Kernel` event loop.
+//! * [`event`] — virtual time ([`event::Cycles`]).
 //! * [`cache`] — L1/L2 hierarchy with MESI-style invalidation.
-//! * [`machine`] — cores, scheduler, locks, barriers, virtual clocks.
+//! * [`machine`] — cores, scheduler, locks, barriers, virtual clocks, and
+//!   the memory-latency rule [`MachineConfig::access_latency`] that
+//!   `pbl-os` shares.
 //! * [`program`] — the abstract thread programs the machine executes.
 //! * [`boot`] — the SD-image flash / boot-sequence state machine
 //!   (Assignment 2's setup steps).
