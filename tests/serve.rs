@@ -479,3 +479,43 @@ fn executed_results_match_the_committed_digests() {
         assert_eq!(got, *expected, "{spec:?}");
     }
 }
+
+/// 384 MapReduce specs folded into one committed digest: every
+/// workload (a grep that matches nothing among them) over 1–40
+/// documents, two corpus seeds, a single map worker up to more splits
+/// than documents, and a single reduce partition up to more partitions
+/// than keys. The engine's thread count must not reach these bytes.
+#[test]
+fn mapreduce_spec_grid_matches_the_committed_digest() {
+    let workloads = [
+        MrWorkload::WordCount,
+        MrWorkload::InvertedIndex,
+        MrWorkload::Grep {
+            pattern: "parallel".into(),
+        },
+        MrWorkload::Grep {
+            pattern: "zzz".into(),
+        },
+    ];
+    let mut bytes = Vec::new();
+    for workload in &workloads {
+        for docs in [1, 6, 16, 40] {
+            for seed in [2000, 2039] {
+                for map_workers in [1, 2, 4, 64] {
+                    for reduce_workers in [1, 2, 7] {
+                        let spec = JobSpec::MapReduce {
+                            workload: workload.clone(),
+                            docs,
+                            seed,
+                            map_workers,
+                            reduce_workers,
+                        };
+                        bytes.extend(serve::exec::execute(&spec).digest().to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(bytes.len(), 384 * 8);
+    assert_eq!(obs::trace::fnv1a(&bytes), 0xaf75_ee6d_f0d5_a2cd);
+}
