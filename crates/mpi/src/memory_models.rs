@@ -63,9 +63,11 @@ impl Model {
 }
 
 /// Executable evidence for the comparison: the sum of `data` computed
-/// under all three models (OpenMP-style reduction, MPI scatter/reduce,
-/// and a MapReduce-shaped map+shuffle+reduce over ranks). All three
-/// must agree with the sequential fold.
+/// under all three models (OpenMP-style reduction over `workers`
+/// threads, MPI scatter/reduce over `workers` ranks, and a MapReduce
+/// job laid out as `workers` map workers and reduce partitions, whose
+/// tasks the engine runs on the calling thread). All three must agree
+/// with the sequential fold.
 pub fn sum_three_ways(data: &[u64], workers: usize) -> [u64; 3] {
     // OpenMP: work-shared loop with a reduction clause.
     let team = parallel_rt::Team::new(workers);
