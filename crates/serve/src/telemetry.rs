@@ -409,38 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_semester_is_quiet_and_storm_fires() {
-        let clean = SemesterConfig::smoke();
-        let storm = SemesterConfig::smoke().with_storm();
-        let cluster = || Cluster::new(ClusterConfig::with_shards(4, 2));
-        let (_, clean_series) = run_semester_observed(&cluster(), &clean);
-        let (_, storm_series) = run_semester_observed(&cluster(), &storm);
-        let quiet = evaluate_health(&clean_series);
-        assert_eq!(
-            quiet.firing_count(),
-            0,
-            "clean fired:\n{}",
-            quiet.render_text()
-        );
-        let loud = evaluate_health(&storm_series);
-        assert!(
-            loud.firing_of("deadline-storm") >= 1,
-            "storm SLO silent:\n{}",
-            loud.render_text()
-        );
-        assert!(
-            loud.firing_of("shard-hotspot") >= 1,
-            "hotspot silent:\n{}",
-            loud.render_text()
-        );
-        assert!(
-            loud.firing_of("arrival-surge") >= 1,
-            "surge silent:\n{}",
-            loud.render_text()
-        );
-    }
-
-    #[test]
     fn hotspot_fires_on_exactly_one_shard() {
         let storm = SemesterConfig::smoke().with_storm();
         let (_, series) =

@@ -382,6 +382,36 @@ fn semester_digest_matrix_is_bit_identical() {
     );
 }
 
+/// The smoke semester's health pins as committed: the clean semester
+/// fires no incident and yields the invariant telemetry digest, and the
+/// storm semester trips every rule, three incidents in all. The serve
+/// bench records the same numbers in `BENCH_serve.json`.
+#[test]
+fn clean_semester_is_quiet_and_storm_fires() {
+    let clean = SemesterConfig::smoke();
+    let storm = SemesterConfig::smoke().with_storm();
+    let cluster = || Cluster::new(ClusterConfig::with_shards(4, 2));
+    let (_, clean_series) = serve::run_semester_observed(&cluster(), &clean);
+    let (_, storm_series) = serve::run_semester_observed(&cluster(), &storm);
+    assert_eq!(clean_series.invariant_digest(), 0xa2fa_e7f8_e072_91a8);
+    let quiet = serve::evaluate_health(&clean_series);
+    assert_eq!(
+        quiet.firing_count(),
+        0,
+        "clean fired:\n{}",
+        quiet.render_text()
+    );
+    let loud = serve::evaluate_health(&storm_series);
+    for rule in ["deadline-storm", "shard-hotspot", "arrival-surge"] {
+        assert!(
+            loud.firing_of(rule) >= 1,
+            "{rule} silent:\n{}",
+            loud.render_text()
+        );
+    }
+    assert_eq!(loud.firing_count(), 3, "{}", loud.render_text());
+}
+
 /// Serves the whole course week on a fresh service and chains every
 /// day's report digest plus the final cache digest — the number
 /// `serve --check` compares across worker counts.
@@ -518,4 +548,37 @@ fn mapreduce_spec_grid_matches_the_committed_digest() {
     }
     assert_eq!(bytes.len(), 384 * 8);
     assert_eq!(obs::trace::fnv1a(&bytes), 0xaf75_ee6d_f0d5_a2cd);
+}
+
+/// 189 reduction specs folded into one committed digest: every combine
+/// style over one thread up to more threads than the Pi has cores (and
+/// than iterations), a single iteration up to thousands, and free to
+/// costly iterations. Each `AtomicPerIteration` iteration is a simulated
+/// atomic read-modify-write, so this pins the cache hierarchy's
+/// coherence charges as served.
+#[test]
+fn reduction_spec_grid_matches_the_committed_digest() {
+    let styles = [
+        ReductionStyleSpec::SerialCombine,
+        ReductionStyleSpec::Tree,
+        ReductionStyleSpec::AtomicPerIteration,
+    ];
+    let mut bytes = Vec::new();
+    for style in styles {
+        for threads in [1, 2, 3, 4, 5, 8, 64] {
+            for iterations in [1, 500, 4_375] {
+                for iter_cost in [0, 60, 165] {
+                    let spec = JobSpec::ReductionSim {
+                        iterations,
+                        iter_cost,
+                        threads,
+                        style,
+                    };
+                    bytes.extend(serve::exec::execute(&spec).digest().to_le_bytes());
+                }
+            }
+        }
+    }
+    assert_eq!(bytes.len(), 189 * 8);
+    assert_eq!(obs::trace::fnv1a(&bytes), 0x6738_b93f_f61d_a8ba);
 }
