@@ -5,8 +5,14 @@
 //! "scope matters"; the coherence traffic modelled here is what makes
 //! false sharing and racy updates slow on real hardware, and is what the
 //! [`crate::machine`] charges memory latency against.
-
-use std::collections::HashMap;
+//!
+//! There is no sharer directory. A write probes every peer L1 and
+//! invalidates the line wherever it is present. That is exact: a line
+//! enters an L1 only through its own core's access, and a write removes
+//! it from every other L1, so the peers holding the line are exactly
+//! the L1s a write must invalidate. A directory of possible sharers
+//! could only skip probing caches that cannot hold the line; it grows
+//! with every line ever touched, while a probe reads one set per peer.
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,12 +50,14 @@ impl CacheConfig {
     }
 }
 
-/// One set-associative cache with true-LRU replacement.
+/// One set-associative cache with true-LRU replacement, addressed by
+/// line (address / line size) and set index, which the hierarchy
+/// computes once per access.
 #[derive(Debug, Clone)]
 struct SetAssocCache {
     config: CacheConfig,
-    /// sets[set] = lines ordered most- to least-recently used; values are
-    /// line tags (address / line_bytes).
+    /// sets[set] = lines (address / line_bytes) ordered most- to
+    /// least-recently used.
     sets: Vec<Vec<u64>>,
 }
 
@@ -61,20 +69,14 @@ impl SetAssocCache {
         }
     }
 
-    fn line_of(&self, addr: u64) -> u64 {
-        addr / self.config.line_bytes
-    }
-
     fn set_of(&self, line: u64) -> usize {
         (line % self.config.sets as u64) as usize
     }
 
-    /// Touches `addr`; returns true on hit. Misses install the line,
-    /// evicting LRU if needed.
-    fn access(&mut self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
+    /// Touches `line` in set `set`; returns true on hit. Misses install
+    /// the line, evicting LRU if needed.
+    fn access(&mut self, set: usize, line: u64) -> bool {
+        let set = &mut self.sets[set];
         if let Some(pos) = set.iter().position(|&l| l == line) {
             // Move to MRU position.
             let l = set.remove(pos);
@@ -89,11 +91,10 @@ impl SetAssocCache {
         }
     }
 
-    /// Drops `addr`'s line if present; returns true if it was present.
-    fn invalidate(&mut self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
+    /// Drops `line` from set `set` if present; returns true if it was
+    /// present.
+    fn invalidate(&mut self, set: usize, line: u64) -> bool {
+        let set = &mut self.sets[set];
         if let Some(pos) = set.iter().position(|&l| l == line) {
             set.remove(pos);
             true
@@ -153,15 +154,14 @@ impl CacheStats {
     }
 }
 
-/// The full hierarchy: one L1 per core, one shared L2, a line-owner map
-/// for write-invalidate coherence.
+/// The full hierarchy: one L1 per core over one shared L2, with
+/// write-invalidate coherence between the L1s.
 #[derive(Debug)]
 pub struct Hierarchy {
+    /// Every L1 has the same geometry, so one set index serves them all.
     l1: Vec<SetAssocCache>,
     l2: SetAssocCache,
     line_bytes: u64,
-    /// line -> bitmask of cores whose L1 may hold it.
-    sharers: HashMap<u64, u32>,
     /// Per-core statistics.
     pub stats: Vec<CacheStats>,
 }
@@ -172,13 +172,21 @@ impl Hierarchy {
         Self::new(cores, CacheConfig::pi_l1(), CacheConfig::pi_l2())
     }
 
-    /// Builds a hierarchy with explicit geometries.
+    /// Builds a hierarchy with explicit geometries, for any number of
+    /// cores: coherence keeps no sharer set to bound them (see the
+    /// module docs).
     ///
     /// # Panics
-    /// Panics if `cores` is 0, exceeds 32 (sharer bitmask width), or the
-    /// two levels disagree on line size.
+    /// Panics if `cores` is 0, if either level has no byte per line, no
+    /// set or no way, or if the two levels disagree on line size.
     pub fn new(cores: usize, l1: CacheConfig, l2: CacheConfig) -> Self {
-        assert!((1..=32).contains(&cores), "1..=32 cores supported");
+        assert!(cores >= 1, "need at least one core");
+        for (level, geometry) in [("L1", l1), ("L2", l2)] {
+            assert!(
+                geometry.line_bytes >= 1 && geometry.sets >= 1 && geometry.ways >= 1,
+                "{level} needs at least one byte per line, one set and one way: {geometry:?}"
+            );
+        }
         assert_eq!(
             l1.line_bytes, l2.line_bytes,
             "levels must share a line size"
@@ -187,7 +195,6 @@ impl Hierarchy {
             l1: (0..cores).map(|_| SetAssocCache::new(l1)).collect(),
             l2: SetAssocCache::new(l2),
             line_bytes: l1.line_bytes,
-            sharers: HashMap::new(),
             stats: vec![CacheStats::default(); cores],
         }
     }
@@ -222,26 +229,23 @@ impl Hierarchy {
     pub fn access(&mut self, core: usize, addr: u64, write: bool) -> AccessOutcome {
         assert!(core < self.l1.len(), "core {core} out of range");
         let line = addr / self.line_bytes;
+        let l1_set = self.l1[core].set_of(line);
         let mut invalidations = 0;
 
         // Write-invalidate: kick the line out of every peer L1.
         if write {
-            let mask = self.sharers.get(&line).copied().unwrap_or(0);
-            for peer in 0..self.l1.len() {
-                if peer != core && mask & (1 << peer) != 0 && self.l1[peer].invalidate(addr) {
+            for (peer, (l1, stats)) in self.l1.iter_mut().zip(&mut self.stats).enumerate() {
+                if peer != core && l1.invalidate(l1_set, line) {
                     invalidations += 1;
-                    self.stats[peer].invalidations_received += 1;
+                    stats.invalidations_received += 1;
                 }
             }
-            self.sharers.insert(line, 1 << core);
-        } else {
-            *self.sharers.entry(line).or_insert(0) |= 1 << core;
         }
 
-        let level = if self.l1[core].access(addr) {
+        let level = if self.l1[core].access(l1_set, line) {
             self.stats[core].l1_hits += 1;
             HitLevel::L1
-        } else if self.l2.access(addr) {
+        } else if self.l2.access(self.l2.set_of(line), line) {
             self.stats[core].l2_hits += 1;
             HitLevel::L2
         } else {
@@ -365,5 +369,52 @@ mod tests {
     fn bad_core_panics() {
         let mut h = Hierarchy::pi(2);
         h.access(5, 0, false);
+    }
+
+    #[test]
+    fn a_33_core_hierarchy_invalidates_every_peer() {
+        let mut h = Hierarchy::pi(33);
+        for core in 0..33 {
+            h.access(core, 0x7000, false);
+        }
+        assert_eq!(h.access(32, 0x7000, true).invalidations, 32);
+        assert_eq!(h.access(0, 0x7000, false).level, HitLevel::L2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one core")]
+    fn zero_cores_panics() {
+        let _ = Hierarchy::pi(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "L1 needs at least one byte per line, one set and one way")]
+    fn zero_way_l1_panics() {
+        let l1 = CacheConfig {
+            ways: 0,
+            ..CacheConfig::pi_l1()
+        };
+        let _ = Hierarchy::new(2, l1, CacheConfig::pi_l2());
+    }
+
+    #[test]
+    #[should_panic(expected = "L2 needs at least one byte per line, one set and one way")]
+    fn zero_set_l2_panics() {
+        let l2 = CacheConfig {
+            sets: 0,
+            ..CacheConfig::pi_l2()
+        };
+        let _ = Hierarchy::new(2, CacheConfig::pi_l1(), l2);
+    }
+
+    #[test]
+    #[should_panic(expected = "L1 needs at least one byte per line, one set and one way")]
+    fn zero_byte_lines_panic() {
+        let zero_lines = |c: CacheConfig| CacheConfig { line_bytes: 0, ..c };
+        let _ = Hierarchy::new(
+            2,
+            zero_lines(CacheConfig::pi_l1()),
+            zero_lines(CacheConfig::pi_l2()),
+        );
     }
 }
