@@ -223,6 +223,18 @@ impl OsState {
         }
     }
 
+    /// Opens `pid`'s slice on `core` and its run span. The slice name is
+    /// built only when a tracer is attached: this runs at every switch-in.
+    fn trace_run_begin(&mut self, core: usize, pid: Pid, now: Cycles) {
+        if let Some(tr) = &mut self.tracer {
+            let lane = tr.core_lanes[core];
+            tr.rec
+                .buf(lane)
+                .begin(now, format!("pid/{pid}"), category::SLICE, pid as u64);
+        }
+        self.trace_begin_proc(pid, now, "run", category::SLICE);
+    }
+
     fn trace_core_end(&mut self, core: usize, now: Cycles) {
         if let Some(tr) = &mut self.tracer {
             let lane = tr.core_lanes[core];
@@ -521,9 +533,7 @@ impl OsState {
             Micro::CtxIn => {
                 self.trace_core_end(core, now); // ctx span
                 self.cores[core].deadline = Some(now + self.cfg.timeslice);
-                let name = format!("pid/{pid}");
-                self.trace_core_begin(core, now, &name, category::SLICE, pid as u64);
-                self.trace_begin_proc(pid, now, "run", category::SLICE);
+                self.trace_run_begin(core, pid, now);
             }
             Micro::Compute(step) => {
                 {
@@ -561,9 +571,7 @@ impl OsState {
                 self.procs[pid as usize].regs.pc += 1;
                 match self.handle_syscall(core, pid, sys, now) {
                     Flow::Continue => {
-                        let name = format!("pid/{pid}");
-                        self.trace_core_begin(core, now, &name, category::SLICE, pid as u64);
-                        self.trace_begin_proc(pid, now, "run", category::SLICE);
+                        self.trace_run_begin(core, pid, now);
                     }
                     Flow::Descheduled => {}
                 }
