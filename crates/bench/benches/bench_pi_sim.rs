@@ -77,6 +77,23 @@ fn bench_pi_sim(c: &mut Criterion) {
         })
     });
 
+    // An AtomicPerIteration reduction's shape: every round, each thread
+    // computes, then updates the one shared accumulator line.
+    group.bench_function("atomic_rmw_pingpong", |b| {
+        b.iter(|| {
+            let programs: Vec<Program> = (0..4)
+                .map(|_| {
+                    let mut p = Program::new();
+                    for _ in 0..1_000 {
+                        p = p.compute(60).atomic_rmw(0x8000);
+                    }
+                    p
+                })
+                .collect();
+            Machine::pi().run(black_box(programs))
+        })
+    });
+
     group.bench_function("memory_heavy_run", |b| {
         b.iter(|| {
             let programs: Vec<Program> = (0..4u64)
