@@ -44,24 +44,22 @@ fn bench_replicate(c: &mut Criterion) {
     group.bench_function("paired_perm_4000_serial", |b| {
         b.iter(|| permutation_test_paired(black_box(&first), black_box(&second), 4_000, 42))
     });
-    group.bench_function("paired_perm_4000_par1", |b| {
-        b.iter(|| permutation_test_paired_par(black_box(&first), black_box(&second), 4_000, 42, 1))
+    group.bench_function("paired_perm_4000_par", |b| {
+        b.iter(|| permutation_test_paired_par(black_box(&first), black_box(&second), 4_000, 42))
     });
     group.bench_function("two_sample_perm_1000_serial", |b| {
         b.iter(|| permutation_test_two_sample(black_box(&first), black_box(&second), 1_000, 42))
     });
-    group.bench_function("two_sample_perm_1000_par1", |b| {
-        b.iter(|| {
-            permutation_test_two_sample_par(black_box(&first), black_box(&second), 1_000, 42, 1)
-        })
+    group.bench_function("two_sample_perm_1000_par", |b| {
+        b.iter(|| permutation_test_two_sample_par(black_box(&first), black_box(&second), 1_000, 42))
     });
     let diffs: Vec<f64> = second.iter().zip(&first).map(|(s, f)| s - f).collect();
     let mean = |d: &[f64]| d.iter().sum::<f64>() / d.len() as f64;
     group.bench_function("bootstrap_1000_serial", |b| {
         b.iter(|| bootstrap_ci(black_box(&diffs), mean, 0.95, 1_000, 42))
     });
-    group.bench_function("bootstrap_1000_par1", |b| {
-        b.iter(|| bootstrap_ci_par(black_box(&diffs), mean, 0.95, 1_000, 42, 1))
+    group.bench_function("bootstrap_1000_par", |b| {
+        b.iter(|| bootstrap_ci_par(black_box(&diffs), mean, 0.95, 1_000, 42))
     });
 
     group.bench_function("replication_batch_16_full", |b| {

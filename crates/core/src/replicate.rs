@@ -225,11 +225,8 @@ fn summarize_replicate(cfg: &ReplicationConfig, ctx: &ReplicateCtx) -> Replicate
     let g1 = cohort.student_scores(Category::PersonalGrowth, 1);
     let g2 = cohort.student_scores(Category::PersonalGrowth, 2);
 
-    // Within a replicate the resampling runs serially (threads = 1):
-    // parallelism lives at the replicate level, and nesting thread pools
-    // would oversubscribe the workers.
     let perm = |first: &[f64], second: &[f64], stream| {
-        permutation_test_paired_par(first, second, cfg.permutations, ctx.stream_seed(stream), 1)
+        permutation_test_paired_par(first, second, cfg.permutations, ctx.stream_seed(stream))
             .expect("cohort has variance")
             .p_two_sided
     };
@@ -241,7 +238,6 @@ fn summarize_replicate(cfg: &ReplicationConfig, ctx: &ReplicateCtx) -> Replicate
             0.95,
             cfg.bootstrap_reps,
             ctx.stream_seed(stream),
-            1,
         )
         .expect("cohort has variance")
     };
@@ -269,7 +265,6 @@ fn summarize_replicate(cfg: &ReplicationConfig, ctx: &ReplicateCtx) -> Replicate
         &section[1],
         cfg.section_permutations,
         ctx.stream_seed(stream::SECTION_PERM),
-        1,
     )
     .expect("both sections populated")
     .p_two_sided;

@@ -63,25 +63,6 @@ impl PblStudy {
         &self.config
     }
 
-    /// Runs `n` independent replicates of the study on up to `threads`
-    /// OS threads via the replication engine, in replicate order.
-    ///
-    /// The configured seed acts as the master seed: replicate `i` runs
-    /// on the seed-split stream seed for `i`, so the batch is
-    /// bit-identical for every thread count. For the resampling
-    /// robustness battery across a batch, see
-    /// [`crate::replicate::run_replication_batched`].
-    pub fn run_batch(&self, n: usize, threads: usize) -> Vec<StudyReport> {
-        let config = self.config.clone();
-        ::replicate::ReplicationEngine::new(threads).run(n, config.seed, move |ctx| {
-            PblStudy::with_config(StudyConfig {
-                num_students: config.num_students,
-                seed: ctx.seed,
-            })
-            .run()
-        })
-    }
-
     /// Simulates the semester and computes every reported statistic.
     pub fn run(&self) -> StudyReport {
         let cohort = CohortData::generate(&self.config);
@@ -318,28 +299,6 @@ mod tests {
         let b = PblStudy::new().run();
         assert_eq!(a.emphasis_ttest, b.emphasis_ttest);
         assert_eq!(a.growth_d, b.growth_d);
-    }
-
-    #[test]
-    fn batch_reports_are_thread_count_invariant() {
-        let study = PblStudy::with_config(StudyConfig {
-            num_students: 40,
-            seed: 9,
-        });
-        let reference = study.run_batch(6, 1);
-        assert_eq!(reference.len(), 6);
-        for threads in [2, 4, 8] {
-            let got = study.run_batch(6, threads);
-            for (a, b) in reference.iter().zip(&got) {
-                assert_eq!(a.emphasis_ttest, b.emphasis_ttest);
-                assert_eq!(a.growth_ttest, b.growth_ttest);
-                assert_eq!(a.emphasis_d, b.emphasis_d);
-                assert_eq!(a.growth_d, b.growth_d);
-                assert_eq!(a.correlations, b.correlations);
-            }
-        }
-        // Replicates differ from one another and from the single run.
-        assert_ne!(reference[0].growth_ttest, reference[1].growth_ttest);
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //! 2. **Order.** Results come back in replicate order, whatever order
 //!    the workers finished in.
 //!
-//! Work is distributed over a chunked [`crossbeam::channel`] queue
-//! (chunks amortise channel traffic; idle workers pull the next chunk,
-//! so an expensive replicate does not stall the batch). Observation
-//! reads the batch's [`BatchShape`] after the run: its chunk counters
-//! and chunk-lifecycle trace depend on the batch size and chunk width
-//! alone, never on the thread count.
+//! A batch is cut into fixed chunks of [`DEFAULT_CHUNK`] replicates,
+//! and the workspace's task-order pool ([`stats::pool::run_indexed`])
+//! hands them out: an idle worker takes the next chunk, so an expensive
+//! replicate does not stall the batch. Observation reads the batch's
+//! [`BatchShape`] after the run: its chunk counters and chunk-lifecycle
+//! trace depend on the batch size alone, never on the thread count.
 //!
 //! ```
 //! use replicate::ReplicationEngine;

@@ -1,21 +1,18 @@
-//! Content-addressed result cache with LRU eviction and single-flight
-//! deduplication.
+//! Content-addressed result cache with LRU eviction.
 //!
 //! Keys are [`JobSpec::digest`](crate::spec::JobSpec::digest) values —
 //! the FNV-1a hash of the spec's canonical encoding — so two textually
-//! independent submissions of the same work share one entry and one
-//! computation.
+//! independent submissions of the same work share one entry.
 //!
-//! The batch scheduler keeps the cache deterministic by mutating it
-//! only from the coordinator in dispatch order (see
-//! [`crate::service`]); the live [`get_or_compute`](ResultCache::get_or_compute)
-//! path additionally provides *single-flight* semantics for concurrent
-//! identical calls: the first caller computes under an in-flight
-//! claim, later callers block on a condvar and receive the leader's
-//! `Arc` — one computation, N results.
+//! The cache itself never computes. The batch and cluster coordinators
+//! keep it deterministic by mutating it only on the coordinator in
+//! dispatch order, and they deduplicate identical jobs themselves (see
+//! [`crate::service`] and [`crate::cluster`]): the first job with a
+//! digest claims the computation, and later ones join it and share the
+//! leader's `Arc`, counted here by [`ResultCache::note_join`].
 
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use crate::result::JobResult;
 
@@ -26,7 +23,8 @@ pub enum CacheEvent {
     Hit,
     /// Computed by this job (and, capacity permitting, stored).
     Computed,
-    /// Deduplicated onto an identical in-flight computation.
+    /// Deduplicated onto an identical job claimed earlier in the same
+    /// batch.
     Joined,
 }
 
@@ -58,7 +56,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that claimed a computation.
     pub misses: u64,
-    /// Lookups deduplicated onto an in-flight computation.
+    /// Jobs that joined an identical job claimed earlier in the same
+    /// batch, as counted by [`ResultCache::note_join`].
     pub joins: u64,
     /// Entries evicted by the LRU policy.
     pub evictions: u64,
@@ -207,37 +206,16 @@ impl Lru {
 struct Inner {
     /// Ready results in LRU order, coldest first.
     lru: Lru,
-    /// Digests currently being computed by a live caller.
-    inflight: HashSet<u64>,
     stats: CacheStats,
 }
 
 /// The content-addressed cache. `capacity` 0 disables caching entirely
-/// (every lookup misses, nothing is stored, no deduplication) — the
-/// cold baseline the serve benchmark compares against.
+/// (every lookup misses and nothing is stored) — the cold baseline the
+/// serve benchmark compares against.
 #[derive(Debug)]
 pub struct ResultCache {
     capacity: usize,
     inner: Mutex<Inner>,
-    ready_cv: Condvar,
-}
-
-/// Clears an in-flight claim if the computing closure panics, so
-/// blocked joiners wake and retry instead of deadlocking.
-struct InflightGuard<'a> {
-    cache: &'a ResultCache,
-    digest: u64,
-    armed: bool,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let mut inner = self.cache.inner.lock().expect("cache lock");
-            inner.inflight.remove(&self.digest);
-            self.cache.ready_cv.notify_all();
-        }
-    }
 }
 
 impl ResultCache {
@@ -246,7 +224,6 @@ impl ResultCache {
         ResultCache {
             capacity,
             inner: Mutex::new(Inner::default()),
-            ready_cv: Condvar::new(),
         }
     }
 
@@ -303,65 +280,6 @@ impl ResultCache {
     /// the same batch) without touching entry state.
     pub fn note_join(&self) {
         self.inner.lock().expect("cache lock").stats.joins += 1;
-    }
-
-    /// The live single-flight path: returns the cached result, or
-    /// computes it via `compute` while concurrent identical calls
-    /// block and then share the leader's result. With caching disabled
-    /// every caller computes independently.
-    pub fn get_or_compute(
-        &self,
-        digest: u64,
-        compute: impl FnOnce() -> JobResult,
-    ) -> (Arc<JobResult>, CacheEvent) {
-        if self.capacity == 0 {
-            let mut inner = self.inner.lock().expect("cache lock");
-            inner.stats.misses += 1;
-            drop(inner);
-            return (Arc::new(compute()), CacheEvent::Computed);
-        }
-        loop {
-            let mut inner = self.inner.lock().expect("cache lock");
-            if let Some(result) = inner.lru.get_cloned(digest) {
-                inner.stats.hits += 1;
-                inner.lru.touch(digest);
-                return (result, CacheEvent::Hit);
-            }
-            if inner.inflight.contains(&digest) {
-                // A leader is computing this digest: wait for it.
-                inner.stats.joins += 1;
-                let mut guard = inner;
-                while guard.inflight.contains(&digest) {
-                    guard = self.ready_cv.wait(guard).expect("cache lock");
-                }
-                if let Some(result) = guard.lru.get_cloned(digest) {
-                    guard.lru.touch(digest);
-                    return (result, CacheEvent::Joined);
-                }
-                // Leader panicked or was evicted before we woke:
-                // retry from the top (the retry may claim leadership).
-                continue;
-            }
-            inner.stats.misses += 1;
-            inner.inflight.insert(digest);
-            drop(inner);
-
-            let mut guard = InflightGuard {
-                cache: self,
-                digest,
-                armed: true,
-            };
-            let result = Arc::new(compute());
-            guard.armed = false;
-            drop(guard);
-
-            self.insert(digest, Arc::clone(&result));
-            let mut inner = self.inner.lock().expect("cache lock");
-            inner.inflight.remove(&digest);
-            drop(inner);
-            self.ready_cv.notify_all();
-            return (result, CacheEvent::Computed);
-        }
     }
 
     /// Snapshot of the counters.
@@ -431,55 +349,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_disables_storage_and_dedup() {
+    fn zero_capacity_disables_storage() {
         let cache = ResultCache::new(0);
-        cache.insert(1, Arc::new(result("a")));
+        assert_eq!(cache.insert(1, Arc::new(result("a"))), 0);
         assert!(cache.lookup_touch(1).is_none());
-        let (_, ev) = cache.get_or_compute(1, || result("a"));
-        assert_eq!(ev, CacheEvent::Computed);
-        let (_, ev) = cache.get_or_compute(1, || result("a"));
-        assert_eq!(ev, CacheEvent::Computed, "no dedup when disabled");
         assert_eq!(cache.len(), 0);
-    }
-
-    #[test]
-    fn single_flight_computes_once_across_threads() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let cache = ResultCache::new(8);
-        let computed = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    let (r, _) = cache.get_or_compute(42, || {
-                        computed.fetch_add(1, Ordering::SeqCst);
-                        // Widen the in-flight window so joiners pile up.
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        result("shared")
-                    });
-                    assert_eq!(r.payload, "shared");
-                });
-            }
-        });
-        assert_eq!(computed.load(Ordering::SeqCst), 1, "exactly one compute");
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits + stats.joins, 7);
-    }
-
-    #[test]
-    fn panicking_leader_releases_the_claim() {
-        let cache = Arc::new(ResultCache::new(8));
-        let c = Arc::clone(&cache);
-        let leader = std::thread::spawn(move || {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                c.get_or_compute(7, || panic!("leader dies"));
-            }));
-        });
-        leader.join().expect("leader thread");
-        // The claim is gone: a follow-up call computes normally.
-        let (r, ev) = cache.get_or_compute(7, || result("second"));
-        assert_eq!(ev, CacheEvent::Computed);
-        assert_eq!(r.payload, "second");
     }
 
     #[test]

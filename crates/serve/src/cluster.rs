@@ -34,9 +34,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::cache::ResultCache;
+use crate::exec;
 use crate::result::JobResult;
 use crate::sched::{self, Submission};
-use crate::service::{run_pool, RejectReason};
+use crate::service::RejectReason;
 use crate::workload::{self, Arrival, JobUniverse, SemesterConfig};
 use obs::trace::fnv1a;
 
@@ -676,12 +677,12 @@ impl Cluster {
 
         // Phase 5: one parallel execute pool over every claimed spec.
         // Results land in claim order regardless of worker count.
-        let specs: Vec<&crate::spec::JobSpec> = to_compute
-            .iter()
-            .map(|&index| &arrivals[index].sub.spec)
-            .collect();
-        let pool = (self.config.workers_per_shard.max(1) * shards).min(16);
-        let computed = run_pool(&specs, pool);
+        let computed = stats::pool::run_indexed(
+            to_compute.len(),
+            (self.config.workers_per_shard.max(1) * shards).min(16),
+            || (),
+            |_, slot| Arc::new(exec::execute(&arrivals[to_compute[slot]].sub.spec)),
+        );
 
         // Phase 6: fills and outcome assembly, (shard, dispatch) order
         // again — cache mutations replay the exact order phase 4 fixed.

@@ -14,8 +14,8 @@
 //!   job's content address.
 //! * [`sched`] — weighted fair queueing with virtual-time ticket
 //!   accounting; the dispatch plan is a pure function of the workload.
-//! * [`cache`] — the content-addressed result cache: LRU eviction,
-//!   single-flight deduplication.
+//! * [`cache`] — the content-addressed result cache with LRU
+//!   eviction.
 //! * [`exec`] — pure job execution with a per-job metrics registry.
 //! * [`service`] — admission control, the five-phase batch pipeline,
 //!   the worker pool, and the batch report's metrics and trace.

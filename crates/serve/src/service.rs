@@ -9,9 +9,10 @@
 //!    job either hits the cache, joins an identical job earlier in the
 //!    plan (batch-level single-flight), or claims a computation.
 //! 4. **Execution** (parallel): the claimed computations — and only
-//!    those — fan out over a `std::thread::scope` + crossbeam worker
-//!    pool. Workers run [`crate::exec::execute`], a pure function, and
-//!    never touch the cache.
+//!    those — fan out over the task-order pool
+//!    ([`stats::pool::run_indexed`]). Workers run
+//!    [`crate::exec::execute`], a pure function, and never touch the
+//!    cache.
 //! 5. **Fill** (dispatch order, coordinator only): computed results
 //!    are inserted into the cache, joins resolve to their leader's
 //!    `Arc`, and outcomes are assembled in submission order.
@@ -23,7 +24,7 @@
 //! worker count. The worker pool only changes how fast phase 4 runs.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::cache::{CacheEvent, CacheStats, ResultCache};
 use crate::exec;
@@ -34,7 +35,8 @@ use crate::spec::{JobSpec, SpecError};
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker threads executing claimed computations.
+    /// Worker threads executing claimed computations; 0 or 1 runs
+    /// them on the thread that called [`Service::run_batch`].
     pub workers: usize,
     /// Most submissions one batch admits (the bounded queue).
     pub queue_capacity: usize,
@@ -424,7 +426,12 @@ impl Service {
         stats.computed = to_compute.len() as u64;
 
         // Phase 4: the only parallel phase — compute the claimed jobs.
-        let computed = run_pool(&to_compute, self.config.workers);
+        let computed = stats::pool::run_indexed(
+            to_compute.len(),
+            self.config.workers,
+            || (),
+            |_, slot| Arc::new(exec::execute(to_compute[slot])),
+        );
 
         // Phase 5: fill, in dispatch order — the cache mutates here
         // and only here, on the coordinator.
@@ -463,17 +470,6 @@ impl Service {
         }
     }
 
-    /// The live single-submission path with single-flight semantics:
-    /// concurrent identical calls compute once and share the result.
-    /// This is what a network front-end would call per request; the
-    /// batch path exists to make whole workloads deterministic.
-    pub fn call(&self, spec: &JobSpec) -> Result<(Arc<JobResult>, CacheEvent), RejectReason> {
-        spec.validate().map_err(RejectReason::InvalidSpec)?;
-        Ok(self
-            .cache
-            .get_or_compute(spec.digest(), || exec::execute(spec)))
-    }
-
     /// Counters of the underlying result cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -484,40 +480,6 @@ impl Service {
     pub fn cache_digest(&self) -> u64 {
         self.cache.digest()
     }
-}
-
-/// Fans `specs` over `workers` scoped threads via a crossbeam channel,
-/// returning results in input order. Workers compute pure results into
-/// their own slots; nothing here observes completion order.
-pub(crate) fn run_pool(specs: &[&JobSpec], workers: usize) -> Vec<Arc<JobResult>> {
-    let workers = workers.max(1).min(specs.len().max(1));
-    let slots: Vec<Mutex<Option<Arc<JobResult>>>> =
-        (0..specs.len()).map(|_| Mutex::new(None)).collect();
-    let (tx, rx) = crossbeam::channel::unbounded::<usize>();
-    for i in 0..specs.len() {
-        tx.send(i).expect("queue open");
-    }
-    drop(tx);
-    let slots_ref = &slots;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let rx = rx.clone();
-            scope.spawn(move || {
-                while let Ok(i) = rx.recv() {
-                    let result = Arc::new(exec::execute(specs[i]));
-                    *slots_ref[i].lock().expect("slot lock") = Some(result);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock")
-                .expect("every spec executed")
-        })
-        .collect()
 }
 
 #[cfg(test)]

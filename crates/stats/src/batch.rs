@@ -26,9 +26,9 @@
 //! *independent* per-lane chains; it never shares an RNG word or
 //! reassociates a sum across lanes. Consequently, for every lane:
 //!
-//! * [`permutation_test_paired_batch`] ≡ `permutation_test_paired_par(…, 1)`
-//! * [`bootstrap_mean_ci_batch`] ≡ `bootstrap_ci_par(…, ordered mean, …, 1)`
-//! * [`permutation_test_two_sample_batch`] ≡ `permutation_test_two_sample_par(…, 1)`
+//! * [`permutation_test_paired_batch`] ≡ `permutation_test_paired_par(…)`
+//! * [`bootstrap_mean_ci_batch`] ≡ `bootstrap_ci_par(…, ordered mean, …)`
+//! * [`permutation_test_two_sample_batch`] ≡ `permutation_test_two_sample_par(…)`
 //!
 //! bit for bit — enforced by the property tests below and by the
 //! engine-level scalar-vs-batched digest tests in `pbl-core`.
@@ -439,7 +439,7 @@ fn paired_group<const W: usize>(
 
 /// Batched paired permutation test: lane `k` computes exactly
 /// `permutation_test_paired_par(first[k], second[k], permutations,
-/// seeds[k], 1)`, bit for bit, with equal-length lanes advanced in
+/// seeds[k])`, bit for bit, with equal-length lanes advanced in
 /// lockstep. `first`, `second`, and `seeds` must have the same length.
 pub fn permutation_test_paired_batch(
     first: &[&[f64]],
@@ -701,7 +701,7 @@ fn bootstrap_group<const W: usize>(
 /// Batched percentile-bootstrap CI of the ordered mean
 /// (`Σ data[i] / len`, left to right — the `mean_diff` statistic the
 /// replication battery uses): lane `k` computes exactly
-/// `bootstrap_ci_par(data[k], ordered mean, level, reps, seeds[k], 1)`,
+/// `bootstrap_ci_par(data[k], ordered mean, level, reps, seeds[k])`,
 /// bit for bit.
 pub fn bootstrap_mean_ci_batch(
     data: &[&[f64]],
@@ -1014,8 +1014,8 @@ fn two_sample_group_uniform<const W: usize>(
 }
 
 /// Batched two-sample permutation test: lane `k` computes exactly
-/// `permutation_test_two_sample_par(a[k], b[k], permutations, seeds[k],
-/// 1)`, bit for bit. Lane lengths may differ.
+/// `permutation_test_two_sample_par(a[k], b[k], permutations,
+/// seeds[k])`, bit for bit. Lane lengths may differ.
 pub fn permutation_test_two_sample_batch(
     a: &[&[f64]],
     b: &[&[f64]],
@@ -1263,8 +1263,7 @@ mod tests {
             .unwrap();
             for k in 0..11 {
                 let scalar =
-                    permutation_test_paired_par(&firsts[k], &seconds[k], perms, seeds[k], 1)
-                        .unwrap();
+                    permutation_test_paired_par(&firsts[k], &seconds[k], perms, seeds[k]).unwrap();
                 assert_eq!(batched[k], scalar, "lane {k}, perms {perms}");
             }
         }
@@ -1287,7 +1286,6 @@ mod tests {
                     0.95,
                     reps,
                     seeds[k],
-                    1,
                 )
                 .unwrap();
                 assert_eq!(batched[k], scalar, "lane {k}");
@@ -1316,7 +1314,7 @@ mod tests {
             .unwrap();
             for k in 0..9 {
                 let scalar =
-                    permutation_test_two_sample_par(&a[k], &b[k], perms, seeds[k], 1).unwrap();
+                    permutation_test_two_sample_par(&a[k], &b[k], perms, seeds[k]).unwrap();
                 assert_eq!(batched[k], scalar, "lane {k}, perms {perms}");
             }
         }
@@ -1396,7 +1394,7 @@ mod tests {
                 &refs(&firsts), &refs(&seconds), perms, &seeds, &mut scratch).unwrap();
             for k in 0..lanes {
                 let scalar = permutation_test_paired_par(
-                    &firsts[k], &seconds[k], perms, seeds[k], 1).unwrap();
+                    &firsts[k], &seconds[k], perms, seeds[k]).unwrap();
                 prop_assert_eq!(&batched[k], &scalar);
             }
         }
@@ -1419,7 +1417,7 @@ mod tests {
                 let scalar = bootstrap_ci_par(
                     &data[k],
                     |d| d.iter().sum::<f64>() / d.len() as f64,
-                    0.9, reps, seeds[k], 1).unwrap();
+                    0.9, reps, seeds[k]).unwrap();
                 prop_assert_eq!(&batched[k], &scalar);
             }
         }
@@ -1444,7 +1442,7 @@ mod tests {
                 &refs(&a), &refs(&b), perms, &seeds, &mut scratch).unwrap();
             for k in 0..lanes {
                 let scalar = permutation_test_two_sample_par(
-                    &a[k], &b[k], perms, seeds[k], 1).unwrap();
+                    &a[k], &b[k], perms, seeds[k]).unwrap();
                 prop_assert_eq!(&batched[k], &scalar);
             }
         }

@@ -20,12 +20,13 @@
 //!   ranking tables' premise that element means genuinely differ.
 //! * [`resample`] — bootstrap confidence intervals and permutation tests
 //!   (robustness extension; the paper reports parametric tests only),
-//!   each with a `*_par` form that shards replicates across OS threads
-//!   on seed-split RNG streams with bit-identical results for any
-//!   thread count.
+//!   each with a `*_par` form that splits its replicates into fixed
+//!   shards, each drawing from its own seed-split RNG stream.
 //! * [`batch`] — structure-of-arrays batch forms of the resampling
 //!   kernels that advance many independent replicates in lockstep,
-//!   bit-identical per lane to the `*_par` forms at one thread.
+//!   bit-identical per lane to the `*_par` forms.
+//! * [`pool`] — the task-order pool: a pure job per index on scoped
+//!   worker threads, values back in index order.
 //! * [`likert`] — 1–5 Likert-scale helpers for both survey scales.
 //! * [`table`] — plain-text / Markdown table rendering for the report
 //!   binary and EXPERIMENTS.md.
@@ -50,6 +51,7 @@ pub mod descriptive;
 pub mod error;
 pub mod likert;
 pub mod pearson;
+pub mod pool;
 pub mod ranking;
 pub mod resample;
 pub mod rng;

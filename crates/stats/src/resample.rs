@@ -7,15 +7,18 @@
 //! * the original serial form (`bootstrap_ci`, `permutation_test_paired`,
 //!   `permutation_test_two_sample`), kept draw-for-draw stable so existing
 //!   seeded results are reproducible; and
-//! * a `*_par` form that shards replicates across OS threads. The shard
+//! * a `*_par` form that splits its replicates into shards. The shard
 //!   layout is a pure function of the replicate count ([`SHARD_REPS`]
 //!   replicates per shard), and every shard draws from its own
-//!   [`StreamSeeder`]-derived RNG stream — so the result is bit-identical
-//!   for any thread count, including 1. The `*_par` kernels additionally
-//!   use faster draw schemes (sign flips consumed as bit masks, partial
-//!   Fisher–Yates selection, two bootstrap indices per RNG word), which
-//!   is why their p-values differ from the serial form's in the random
-//!   stream consumed — never in distribution.
+//!   [`StreamSeeder`]-derived RNG stream, so a shard's draws depend on
+//!   its index alone. The shards run in shard order on the calling
+//!   thread; parallelism lives one level up, across the replicates of
+//!   a batch (`pbl-replicate`), and [`crate::batch`] advances many of
+//!   these shard runs in lockstep, bit-identical per lane. The `*_par`
+//!   kernels also use faster draw schemes (sign flips consumed as bit
+//!   masks, partial Fisher–Yates selection, two bootstrap indices per
+//!   RNG word), which is why their p-values differ from the serial
+//!   form's in the random stream consumed — never in distribution.
 
 use crate::error::{ensure_finite, StatsError};
 use crate::rng::{StreamSeeder, Xoshiro256};
@@ -23,8 +26,7 @@ use crate::Result;
 
 /// Resampling replicates handled by one RNG shard in the `*_par`
 /// procedures. Fixed so the shard layout — and therefore every random
-/// draw — depends only on the total replicate count, never on how many
-/// threads execute the shards.
+/// draw — depends only on the total replicate count.
 pub const SHARD_REPS: usize = 256;
 
 pub(crate) fn shard_count(reps: usize) -> usize {
@@ -33,45 +35,6 @@ pub(crate) fn shard_count(reps: usize) -> usize {
 
 pub(crate) fn reps_in_shard(reps: usize, shard: usize) -> usize {
     SHARD_REPS.min(reps - shard * SHARD_REPS)
-}
-
-/// Runs `job` once per shard index on up to `threads` OS threads and
-/// returns the results in shard order. Work is pulled from a shared
-/// atomic counter; because each job is a pure function of its shard
-/// index, scheduling cannot affect the merged result.
-fn run_sharded<T, F>(shards: usize, threads: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.max(1).min(shards);
-    if threads <= 1 {
-        return (0..shards).map(job).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, T)>();
-    let mut slots: Vec<Option<T>> = (0..shards).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            let job = &job;
-            scope.spawn(move || loop {
-                let shard = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if shard >= shards || tx.send((shard, job(shard))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (shard, value) in rx.iter() {
-            slots[shard] = Some(value);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every shard completes"))
-        .collect()
 }
 
 /// A reusable scratch buffer for drawing with-replacement resamples,
@@ -208,36 +171,32 @@ where
     Ok(bootstrap_from_stats(data, statistic, level, stats))
 }
 
-/// [`bootstrap_ci`] with replicates sharded across up to `threads` OS
-/// threads, each shard drawing from its own seed-split RNG stream.
+/// [`bootstrap_ci`] with its replicates split into [`SHARD_REPS`]-rep
+/// shards, each drawing from its own seed-split RNG stream.
 ///
-/// The result is bit-identical for every `threads` value (shards are
-/// merged in shard order before the percentile step), but differs from
-/// the serial [`bootstrap_ci`] for the same seed because the shard
-/// streams consume different random draws.
+/// Shard statistics concatenate in shard order before the percentile
+/// step. The result differs from the serial [`bootstrap_ci`] for the
+/// same seed because the shard streams consume different random draws.
 pub fn bootstrap_ci_par<F>(
     data: &[f64],
     statistic: F,
     level: f64,
     reps: usize,
     seed: u64,
-    threads: usize,
 ) -> Result<BootstrapCi>
 where
-    F: Fn(&[f64]) -> f64 + Sync,
+    F: Fn(&[f64]) -> f64,
 {
     validate_bootstrap(data, level, reps)?;
     let seeder = StreamSeeder::new(seed);
-    let per_shard = run_sharded(shard_count(reps), threads, |shard| {
+    let mut scratch = ResampleScratch::new();
+    let mut stats = Vec::with_capacity(reps);
+    for shard in 0..shard_count(reps) {
         let mut rng = seeder.stream(shard as u64);
-        let mut scratch = ResampleScratch::new();
-        let mut out = Vec::with_capacity(reps_in_shard(reps, shard));
         for _ in 0..reps_in_shard(reps, shard) {
-            out.push(statistic(scratch.fill_packed(data, &mut rng)));
+            stats.push(statistic(scratch.fill_packed(data, &mut rng)));
         }
-        out
-    });
-    let stats: Vec<f64> = per_shard.into_iter().flatten().collect();
+    }
     Ok(bootstrap_from_stats(data, statistic, level, stats))
 }
 
@@ -343,15 +302,14 @@ fn paired_sign_flip_extremes(
     extreme
 }
 
-/// [`permutation_test_paired`] with permutations sharded across up to
-/// `threads` OS threads on seed-split streams; bit-identical for every
-/// thread count (extreme counts are integers, merged by summation).
+/// [`permutation_test_paired`] with its permutations split into
+/// [`SHARD_REPS`]-permutation shards on seed-split streams; the shards'
+/// extreme counts are integers, merged by summation.
 pub fn permutation_test_paired_par(
     first: &[f64],
     second: &[f64],
     permutations: usize,
     seed: u64,
-    threads: usize,
 ) -> Result<PermutationTest> {
     validate_paired(first, second, permutations)?;
     let diffs_doubled: Vec<f64> = second
@@ -363,18 +321,17 @@ pub fn permutation_test_paired_par(
     let observed = total / diffs_doubled.len() as f64;
     let threshold = observed.abs() - 1e-15;
     let seeder = StreamSeeder::new(seed);
-    let extreme: usize = run_sharded(shard_count(permutations), threads, |shard| {
-        let mut rng = seeder.stream(shard as u64);
-        paired_sign_flip_extremes(
-            &diffs_doubled,
-            total,
-            threshold,
-            reps_in_shard(permutations, shard),
-            &mut rng,
-        )
-    })
-    .into_iter()
-    .sum();
+    let extreme: usize = (0..shard_count(permutations))
+        .map(|shard| {
+            paired_sign_flip_extremes(
+                &diffs_doubled,
+                total,
+                threshold,
+                reps_in_shard(permutations, shard),
+                &mut seeder.stream(shard as u64),
+            )
+        })
+        .sum();
     Ok(PermutationTest {
         observed,
         p_two_sided: (extreme + 1) as f64 / (permutations + 1) as f64,
@@ -458,16 +415,14 @@ fn two_sample_partial_shuffle_extremes(
     extreme
 }
 
-/// [`permutation_test_two_sample`] with permutations sharded across up
-/// to `threads` OS threads on seed-split streams; bit-identical for
-/// every thread count. Each shard permutes its own copy of the pooled
-/// sample starting from the original ordering.
+/// [`permutation_test_two_sample`] with its permutations split into
+/// [`SHARD_REPS`]-permutation shards on seed-split streams. Each shard
+/// permutes the pooled sample starting from the original ordering.
 pub fn permutation_test_two_sample_par(
     a: &[f64],
     b: &[f64],
     permutations: usize,
     seed: u64,
-    threads: usize,
 ) -> Result<PermutationTest> {
     validate_two_sample(a, b, permutations)?;
     let observed = a.iter().sum::<f64>() / a.len() as f64 - b.iter().sum::<f64>() / b.len() as f64;
@@ -475,20 +430,20 @@ pub fn permutation_test_two_sample_par(
     let pooled: Vec<f64> = a.iter().chain(b).copied().collect();
     let total: f64 = pooled.iter().sum();
     let seeder = StreamSeeder::new(seed);
-    let extreme: usize = run_sharded(shard_count(permutations), threads, |shard| {
-        let mut rng = seeder.stream(shard as u64);
-        let mut shard_pool = pooled.clone();
-        two_sample_partial_shuffle_extremes(
-            &mut shard_pool,
-            a.len(),
-            total,
-            threshold,
-            reps_in_shard(permutations, shard),
-            &mut rng,
-        )
-    })
-    .into_iter()
-    .sum();
+    let mut shard_pool = pooled.clone();
+    let extreme: usize = (0..shard_count(permutations))
+        .map(|shard| {
+            shard_pool.copy_from_slice(&pooled);
+            two_sample_partial_shuffle_extremes(
+                &mut shard_pool,
+                a.len(),
+                total,
+                threshold,
+                reps_in_shard(permutations, shard),
+                &mut seeder.stream(shard as u64),
+            )
+        })
+        .sum();
     Ok(PermutationTest {
         observed,
         p_two_sided: (extreme + 1) as f64 / (permutations + 1) as f64,
@@ -501,7 +456,6 @@ mod tests {
     use super::*;
     use crate::descriptive::mean;
     use crate::ttest::t_test_paired;
-    use proptest::prelude::*;
 
     #[test]
     fn bootstrap_ci_covers_the_mean() {
@@ -529,9 +483,9 @@ mod tests {
         assert!(bootstrap_ci(&d, |x| x[0], 1.5, 10, 0).is_err());
         assert!(bootstrap_ci(&d, |x| x[0], 0.9, 0, 0).is_err());
         assert!(bootstrap_ci(&[1.0], |x| x[0], 0.9, 10, 0).is_err());
-        assert!(bootstrap_ci_par(&d, |x| x[0], 1.5, 10, 0, 2).is_err());
-        assert!(permutation_test_paired_par(&[1.0], &[1.0], 10, 0, 2).is_err());
-        assert!(permutation_test_two_sample_par(&[1.0, 2.0], &[3.0, 4.0], 0, 0, 2).is_err());
+        assert!(bootstrap_ci_par(&d, |x| x[0], 1.5, 10, 0).is_err());
+        assert!(permutation_test_paired_par(&[1.0], &[1.0], 10, 0).is_err());
+        assert!(permutation_test_two_sample_par(&[1.0, 2.0], &[3.0, 4.0], 0, 0).is_err());
     }
 
     #[test]
@@ -581,44 +535,12 @@ mod tests {
     }
 
     #[test]
-    fn bootstrap_par_is_thread_count_invariant() {
-        let data: Vec<f64> = (0..80).map(|i| (i * 13 % 17) as f64).collect();
-        let reference = bootstrap_ci_par(&data, |d| mean(d).unwrap(), 0.95, 700, 9, 1).unwrap();
-        for threads in [2, 4, 8] {
-            let got = bootstrap_ci_par(&data, |d| mean(d).unwrap(), 0.95, 700, 9, threads).unwrap();
-            assert_eq!(reference, got, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn paired_par_is_thread_count_invariant() {
-        let first: Vec<f64> = (0..50).map(|i| 3.0 + 0.1 * (i % 7) as f64).collect();
-        let second: Vec<f64> = first.iter().map(|x| x + 0.2).collect();
-        let reference = permutation_test_paired_par(&first, &second, 999, 5, 1).unwrap();
-        for threads in [2, 4, 8] {
-            let got = permutation_test_paired_par(&first, &second, 999, 5, threads).unwrap();
-            assert_eq!(reference, got, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn two_sample_par_is_thread_count_invariant() {
-        let a: Vec<f64> = (0..40).map(|i| 5.0 + 0.1 * (i % 5) as f64).collect();
-        let b: Vec<f64> = (0..35).map(|i| 4.6 + 0.1 * (i % 5) as f64).collect();
-        let reference = permutation_test_two_sample_par(&a, &b, 777, 2, 1).unwrap();
-        for threads in [2, 4, 8] {
-            let got = permutation_test_two_sample_par(&a, &b, 777, 2, threads).unwrap();
-            assert_eq!(reference, got, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn par_variants_agree_with_serial_conclusions() {
         // Strong paired effect: both serial and sharded forms reject.
         let first: Vec<f64> = (0..40).map(|i| 3.5 + 0.05 * (i % 5) as f64).collect();
         let second: Vec<f64> = first.iter().map(|x| x + 0.3).collect();
         let serial = permutation_test_paired(&first, &second, 2000, 99).unwrap();
-        let par = permutation_test_paired_par(&first, &second, 2000, 99, 4).unwrap();
+        let par = permutation_test_paired_par(&first, &second, 2000, 99).unwrap();
         assert!((serial.observed - par.observed).abs() < 1e-12);
         assert!(serial.p_two_sided < 0.01 && par.p_two_sided < 0.01);
 
@@ -630,14 +552,14 @@ mod tests {
             .map(|(i, x)| x + if i % 2 == 0 { 0.5 } else { -0.5 })
             .collect();
         let serial = permutation_test_paired(&null_first, &null_second, 1000, 5).unwrap();
-        let par = permutation_test_paired_par(&null_first, &null_second, 1000, 5, 4).unwrap();
+        let par = permutation_test_paired_par(&null_first, &null_second, 1000, 5).unwrap();
         assert!(serial.p_two_sided > 0.3 && par.p_two_sided > 0.3);
 
         // Two-sample shift: both detect it; bootstrap CIs overlap well.
         let a: Vec<f64> = (0..25).map(|i| 5.0 + 0.1 * (i % 5) as f64).collect();
         let b: Vec<f64> = (0..25).map(|i| 4.0 + 0.1 * (i % 5) as f64).collect();
         let serial = permutation_test_two_sample(&a, &b, 1000, 3).unwrap();
-        let par = permutation_test_two_sample_par(&a, &b, 1000, 3, 4).unwrap();
+        let par = permutation_test_two_sample_par(&a, &b, 1000, 3).unwrap();
         assert!((serial.observed - par.observed).abs() < 1e-12);
         assert!(serial.p_two_sided < 0.01 && par.p_two_sided < 0.01);
 
@@ -645,7 +567,7 @@ mod tests {
             .map(|i| 4.0 + 0.2 * ((i * 37 % 11) as f64 - 5.0))
             .collect();
         let s = bootstrap_ci(&data, |d| mean(d).unwrap(), 0.95, 2000, 42).unwrap();
-        let p = bootstrap_ci_par(&data, |d| mean(d).unwrap(), 0.95, 2000, 42, 4).unwrap();
+        let p = bootstrap_ci_par(&data, |d| mean(d).unwrap(), 0.95, 2000, 42).unwrap();
         assert_eq!(s.estimate, p.estimate);
         assert!((s.lo - p.lo).abs() < 0.05 && (s.hi - p.hi).abs() < 0.05);
     }
@@ -691,53 +613,5 @@ mod tests {
         assert!(permutation_test_paired(&[1.0], &[1.0], 10, 0).is_err());
         assert!(permutation_test_paired(&[1.0, 2.0], &[1.0], 10, 0).is_err());
         assert!(permutation_test_two_sample(&[1.0, 2.0], &[3.0, 4.0], 0, 0).is_err());
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        // The determinism contract: for arbitrary inputs, replicate
-        // counts crossing shard boundaries, and any thread count, the
-        // sharded procedures equal their own 1-thread (serial) run.
-        #[test]
-        fn par_equals_serial_shard_run_paired(
-            base in prop::collection::vec(-1e3..1e3f64, 2..40),
-            delta in -2.0..2.0f64,
-            perms in 1usize..600,
-            seed in 0u64..1_000,
-            threads in 2usize..6,
-        ) {
-            let second: Vec<f64> = base.iter().map(|x| x + delta).collect();
-            let serial = permutation_test_paired_par(&base, &second, perms, seed, 1).unwrap();
-            let par = permutation_test_paired_par(&base, &second, perms, seed, threads).unwrap();
-            prop_assert_eq!(serial, par);
-        }
-
-        #[test]
-        fn par_equals_serial_shard_run_two_sample(
-            a in prop::collection::vec(-1e3..1e3f64, 2..40),
-            b in prop::collection::vec(-1e3..1e3f64, 2..40),
-            perms in 1usize..600,
-            seed in 0u64..1_000,
-            threads in 2usize..6,
-        ) {
-            let serial = permutation_test_two_sample_par(&a, &b, perms, seed, 1).unwrap();
-            let par = permutation_test_two_sample_par(&a, &b, perms, seed, threads).unwrap();
-            prop_assert_eq!(serial, par);
-        }
-
-        #[test]
-        fn par_equals_serial_shard_run_bootstrap(
-            data in prop::collection::vec(-1e3..1e3f64, 2..40),
-            reps in 1usize..600,
-            seed in 0u64..1_000,
-            threads in 2usize..6,
-        ) {
-            let serial =
-                bootstrap_ci_par(&data, |d| mean(d).unwrap(), 0.9, reps, seed, 1).unwrap();
-            let par =
-                bootstrap_ci_par(&data, |d| mean(d).unwrap(), 0.9, reps, seed, threads).unwrap();
-            prop_assert_eq!(serial, par);
-        }
     }
 }
