@@ -9,7 +9,7 @@
 //! dispatch order, and they deduplicate identical jobs themselves (see
 //! [`crate::service`] and [`crate::cluster`]): the first job with a
 //! digest claims the computation, and later ones join it and share the
-//! leader's `Arc`, counted here by [`ResultCache::note_join`].
+//! leader's `Arc`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -46,21 +46,6 @@ impl CacheEvent {
             CacheEvent::Joined => "joined",
         }
     }
-}
-
-/// Monotonic cache counters, all deterministic under the batch
-/// scheduler (they count dispatch-order events, not host timing).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found a ready entry.
-    pub hits: u64,
-    /// Lookups that claimed a computation.
-    pub misses: u64,
-    /// Jobs that joined an identical job claimed earlier in the same
-    /// batch, as counted by [`ResultCache::note_join`].
-    pub joins: u64,
-    /// Entries evicted by the LRU policy.
-    pub evictions: u64,
 }
 
 /// Slab-index sentinel for "no node".
@@ -202,20 +187,14 @@ impl Lru {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    /// Ready results in LRU order, coldest first.
-    lru: Lru,
-    stats: CacheStats,
-}
-
 /// The content-addressed cache. `capacity` 0 disables caching entirely
 /// (every lookup misses and nothing is stored) — the cold baseline the
 /// serve benchmark compares against.
 #[derive(Debug)]
 pub struct ResultCache {
     capacity: usize,
-    inner: Mutex<Inner>,
+    /// Ready results in LRU order, coldest first.
+    lru: Mutex<Lru>,
 }
 
 impl ResultCache {
@@ -223,33 +202,18 @@ impl ResultCache {
     pub fn new(capacity: usize) -> Self {
         ResultCache {
             capacity,
-            inner: Mutex::new(Inner::default()),
+            lru: Mutex::new(Lru::default()),
         }
     }
 
-    /// Looks `digest` up; on a hit, bumps the entry to hottest and
-    /// counts the hit. Used by the batch coordinator in dispatch
-    /// order, which is what keeps the LRU state deterministic.
+    /// Looks `digest` up; on a hit, bumps the entry to hottest. The
+    /// batch and cluster coordinators call it in dispatch order, which
+    /// is what keeps the LRU state deterministic.
     pub fn lookup_touch(&self, digest: u64) -> Option<Arc<JobResult>> {
-        let mut inner = self.inner.lock().expect("cache lock");
-        if let Some(result) = inner.lru.get_cloned(digest) {
-            inner.stats.hits += 1;
-            inner.lru.touch(digest);
-            Some(result)
-        } else {
-            inner.stats.misses += 1;
-            None
-        }
-    }
-
-    /// Looks `digest` up without counting a hit or a miss — the
-    /// cluster coordinator's probe for shard-local statistics where
-    /// the authoritative counters live in the cluster report.
-    pub fn peek_touch(&self, digest: u64) -> Option<Arc<JobResult>> {
-        let mut inner = self.inner.lock().expect("cache lock");
-        let result = inner.lru.get_cloned(digest);
+        let mut lru = self.lru.lock().expect("cache lock");
+        let result = lru.get_cloned(digest);
         if result.is_some() {
-            inner.lru.touch(digest);
+            lru.touch(digest);
         }
         result
     }
@@ -261,35 +225,23 @@ impl ResultCache {
         if self.capacity == 0 {
             return 0;
         }
-        let mut inner = self.inner.lock().expect("cache lock");
-        if inner.lru.contains(digest) {
-            inner.lru.touch(digest);
+        let mut lru = self.lru.lock().expect("cache lock");
+        if lru.contains(digest) {
+            lru.touch(digest);
             return 0;
         }
-        inner.lru.insert(digest, result);
+        lru.insert(digest, result);
         let mut evicted = 0;
-        while inner.lru.len() > self.capacity {
-            inner.lru.pop_coldest();
+        while lru.len() > self.capacity {
+            lru.pop_coldest();
             evicted += 1;
         }
-        inner.stats.evictions += evicted;
         evicted
-    }
-
-    /// Counts a batch-level join (deduplication onto an earlier job in
-    /// the same batch) without touching entry state.
-    pub fn note_join(&self) {
-        self.inner.lock().expect("cache lock").stats.joins += 1;
-    }
-
-    /// Snapshot of the counters.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.lock().expect("cache lock").stats
     }
 
     /// Number of ready entries currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock").lru.len()
+        self.lru.lock().expect("cache lock").len()
     }
 
     /// True when no results are cached.
@@ -301,8 +253,7 @@ impl ResultCache {
     /// cache-state half of the service determinism contract: two runs
     /// of the same workload must leave the cache in the same state.
     pub fn digest(&self) -> u64 {
-        let inner = self.inner.lock().expect("cache lock");
-        let order = inner.lru.order();
+        let order = self.lru.lock().expect("cache lock").order();
         let mut bytes = Vec::with_capacity(order.len() * 8);
         for d in &order {
             bytes.extend(d.to_le_bytes());
@@ -323,14 +274,12 @@ mod tests {
     }
 
     #[test]
-    fn insert_then_lookup_hits_and_counts() {
+    fn insert_then_lookup_hits() {
         let cache = ResultCache::new(4);
         assert!(cache.lookup_touch(1).is_none());
         cache.insert(1, Arc::new(result("a")));
         let hit = cache.lookup_touch(1).expect("hit");
         assert_eq!(hit.payload, "a");
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
@@ -345,7 +294,6 @@ mod tests {
         assert!(cache.lookup_touch(2).is_none(), "2 was coldest");
         assert!(cache.lookup_touch(1).is_some());
         assert!(cache.lookup_touch(3).is_some());
-        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
@@ -362,8 +310,9 @@ mod tests {
         // interleaving touches; the surviving order must be exactly the
         // last `capacity` distinct digests in recency order.
         let cache = ResultCache::new(4);
+        let mut evicted = 0;
         for i in 0..200u64 {
-            cache.insert(i, Arc::new(result(&format!("r{i}"))));
+            evicted += cache.insert(i, Arc::new(result(&format!("r{i}"))));
             if i % 3 == 0 {
                 // Touch the oldest survivor to force mid-list unlinks.
                 let coldest = i.saturating_sub(3);
@@ -376,22 +325,7 @@ mod tests {
         // present and eviction count is consistent.
         assert!(cache.lookup_touch(199).is_some());
         assert!(cache.lookup_touch(0).is_none());
-        assert_eq!(cache.stats().evictions, 196);
-    }
-
-    #[test]
-    fn peek_touch_reorders_without_counting() {
-        let cache = ResultCache::new(2);
-        cache.insert(1, Arc::new(result("a")));
-        cache.insert(2, Arc::new(result("b")));
-        let before = cache.stats();
-        assert!(cache.peek_touch(1).is_some());
-        assert!(cache.peek_touch(99).is_none());
-        assert_eq!(cache.stats(), before, "peek must not count");
-        // The peek still refreshed recency: 2 is now coldest.
-        cache.insert(3, Arc::new(result("c")));
-        assert!(cache.peek_touch(2).is_none());
-        assert!(cache.peek_touch(1).is_some());
+        assert_eq!(evicted, 196);
     }
 
     #[test]

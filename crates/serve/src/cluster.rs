@@ -627,7 +627,7 @@ impl Cluster {
             let mut local_leader: HashMap<u64, usize> = HashMap::new();
             let mut resolved: Vec<Option<Resolution>> = Vec::with_capacity(plan.len());
             for (pos, row) in plan.iter().enumerate() {
-                if let Some(result) = self.l1[shard].peek_touch(row.digest) {
+                if let Some(result) = self.l1[shard].lookup_touch(row.digest) {
                     resolved.push(Some(Resolution::L1Hit(result)));
                 } else if self.config.single_flight {
                     if let Some(&leader) = local_leader.get(&row.digest) {

@@ -54,7 +54,7 @@ pub mod spec;
 pub mod telemetry;
 pub mod workload;
 
-pub use cache::{CacheEvent, CacheStats, ResultCache};
+pub use cache::{CacheEvent, ResultCache};
 pub use cluster::{
     Cluster, ClusterConfig, ClusterOutcome, ClusterSource, ClusterStats, DayReport, HashRing,
     SemesterReport,

@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::cache::{CacheEvent, CacheStats, ResultCache};
+use crate::cache::{CacheEvent, ResultCache};
 use crate::exec;
 use crate::result::JobResult;
 use crate::sched::{self, Submission};
@@ -413,7 +413,6 @@ impl Service {
             if self.config.single_flight {
                 if let Some(&leader) = leaders.get(&p.digest) {
                     stats.joins += 1;
-                    self.cache.note_join();
                     resolutions.push(Resolution::Join { leader });
                     continue;
                 }
@@ -468,11 +467,6 @@ impl Service {
             dispatch,
             stats,
         }
-    }
-
-    /// Counters of the underlying result cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// Digest of the cache's LRU state — the persistent half of the
