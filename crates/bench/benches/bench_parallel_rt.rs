@@ -85,7 +85,8 @@ fn bench_parallel_rt(c: &mut Criterion) {
     // The tentpole scenario: lowering a million-iteration uniform loop.
     // PerIteration builds O(n) ops (the old path, kept as the oracle);
     // Rle builds O(chunks). Virtual-time results are bit-identical; the
-    // wall-clock gap is what `BENCH_simcore.json` records.
+    // wall-clock gap between the pair is the measured cost of lowering
+    // per iteration.
     for (label, lowering) in [
         ("per_iteration", Lowering::PerIteration),
         ("rle", Lowering::Rle),

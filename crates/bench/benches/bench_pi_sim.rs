@@ -117,7 +117,8 @@ fn bench_pi_sim(c: &mut Criterion) {
     // The tentpole scenario: a million-iteration uniform loop per thread,
     // lowered the old way (one Compute op per iteration) and the new way
     // (one ComputeRepeat block per thread). Timing on the virtual machine
-    // is bit-identical; wall-clock is what `BENCH_simcore.json` records.
+    // is bit-identical; the wall-clock gap between the pair is the
+    // measured cost of per-op dispatch.
     for (label, rle) in [("per_op", false), ("rle", true)] {
         group.bench_with_input(
             BenchmarkId::new("uniform_loop_1m_x4", label),

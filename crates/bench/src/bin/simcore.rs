@@ -1,368 +1,46 @@
-//! Captures the before/after wall-clock numbers for the simulation-core
-//! scaling work into `BENCH_simcore.json`.
-//!
-//! "Before" is the per-op lowering the codebase used originally (one
-//! `Compute` op per loop iteration, kept alive as the oracle path);
-//! "after" is the run-length-encoded O(chunks) lowering. Both paths run
-//! the same virtual workload and must report bit-identical virtual
-//! cycles — the binary asserts this before recording anything.
+//! Exports the canonical four-layer demo trace
+//! (`pbl_core::experiments::demo_trace`) as Chrome trace-event JSON,
+//! loadable in Perfetto, and prints its FNV-1a digest. Every timestamp
+//! in it is virtual, so the file is byte-identical across hosts, runs
+//! and thread counts; `tests/trace_golden.rs` pins the digest at
+//! 1/2/4/8 threads against `tests/golden/simcore_trace.digest`.
 //!
 //! Usage:
-//!   cargo run --release -p pbl-bench --bin simcore [out.json]
-//!   cargo run --release -p pbl-bench --bin simcore -- \
-//!       --trace-out trace.json [--trace-golden tests/golden/simcore_trace.digest]
+//!   cargo run --release -p pbl-bench --bin simcore -- --trace-out trace.json
 //!
-//! Default output path: `BENCH_simcore.json` in the current directory.
-//! `--trace-out` skips the wall-clock measurements and instead exports
-//! the canonical four-layer demo trace (`pbl_core::experiments::
-//! demo_trace`) as Chrome trace-event JSON — loadable in Perfetto — and
-//! prints its FNV-1a digest. Every timestamp in it is virtual, so the
-//! file is byte-identical across hosts, runs, and thread counts. With
-//! `--trace-golden FILE` the digest is compared against the committed
-//! golden and the binary exits 1 on any mismatch (the CI trace smoke).
+//! Exits 1 if the trace breaks the attribution identity, and 2 on a
+//! usage error or an unwritable path.
 
-use std::time::Instant;
-
-use parallel_rt::sim::{
-    simulate_parallel_loop_lowered, CostModel, LoweredLoop, Lowering, SimOptions, SweepPoint,
-};
-use parallel_rt::Schedule;
-use pi_sim::machine::{Machine, MachineConfig};
-use pi_sim::program::{Op, Program};
-
-/// Wall-clock repetitions per measurement; the minimum is recorded
-/// (standard practice for before/after comparisons — the minimum is the
-/// least noisy estimator of the true cost).
-const REPS: usize = 5;
-
-struct Scenario {
-    name: &'static str,
-    crate_name: &'static str,
-    before: &'static str,
-    after: &'static str,
-    iterations: u64,
-    threads: usize,
-    before_ms: f64,
-    after_ms: f64,
-    virtual_cycles: u64,
+fn usage() -> ! {
+    eprintln!("usage: simcore --trace-out <path>");
+    std::process::exit(2);
 }
 
-impl Scenario {
-    fn speedup(&self) -> f64 {
-        self.before_ms / self.after_ms
-    }
-}
-
-fn time_min_ms<F: FnMut() -> u64>(mut f: F) -> (f64, u64) {
-    let mut best = f64::INFINITY;
-    let mut cycles = 0;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        cycles = f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, cycles)
-}
-
-/// pi-sim: the same uniform compute loop lowered as 1M unit ops per
-/// thread vs one RLE block per thread.
-fn pi_sim_scenario(threads: usize, iterations: u64) -> Scenario {
-    let per_op = |_| -> Program { (0..iterations).map(|_| Op::Compute(40)).collect() };
-    let rle = |_| Program::new().compute_repeat(40, iterations);
-    let (before_ms, before_cycles) = time_min_ms(|| {
-        let programs: Vec<Program> = (0..threads).map(per_op).collect();
-        Machine::pi().run(programs).total_cycles
-    });
-    let (after_ms, after_cycles) = time_min_ms(|| {
-        let programs: Vec<Program> = (0..threads).map(rle).collect();
-        Machine::pi().run(programs).total_cycles
-    });
-    assert_eq!(
-        before_cycles, after_cycles,
-        "determinism violated: per-op and RLE lowering disagree"
-    );
-    Scenario {
-        name: if threads == 1 {
-            "pi_sim/uniform_loop_1m_x1"
-        } else {
-            "pi_sim/uniform_loop_1m_x4"
-        },
-        crate_name: "pi-sim",
-        before: "one Compute op per iteration (per-op dispatch)",
-        after: "one ComputeRepeat block per thread (O(1) fast-forward)",
-        iterations,
-        threads,
-        before_ms,
-        after_ms,
-        virtual_cycles: after_cycles,
-    }
-}
-
-/// parallel-rt: full loop pipeline (plan + lower + run) under both
-/// lowerings for a given schedule.
-fn parallel_rt_scenario(
-    name: &'static str,
-    schedule: Schedule,
-    iterations: usize,
-    threads: usize,
-) -> Scenario {
-    let opts = SimOptions::default();
-    let cost = CostModel::Uniform(40);
-    let run = |lowering: Lowering| {
-        simulate_parallel_loop_lowered(iterations, &cost, schedule, threads, &opts, lowering).cycles
-    };
-    let (before_ms, before_cycles) = time_min_ms(|| run(Lowering::PerIteration));
-    let (after_ms, after_cycles) = time_min_ms(|| run(Lowering::Rle));
-    assert_eq!(
-        before_cycles, after_cycles,
-        "determinism violated: per-iteration and RLE lowering disagree"
-    );
-    Scenario {
-        name,
-        crate_name: "parallel-rt",
-        before: "Lowering::PerIteration (O(n) program build + per-op dispatch)",
-        after: "Lowering::Rle (O(chunks) program build + O(1) fast-forward)",
-        iterations: iterations as u64,
-        threads,
-        before_ms,
-        after_ms,
-        virtual_cycles: after_cycles,
-    }
-}
-
-/// parallel-rt: a multi-scenario parameter sweep (cost scale x fork
-/// overhead x machine width) over one loop, run as N independent full
-/// pipelines vs one lowering fast-forwarded through the shared prefix
-/// tables (`LoweredLoop::sweep`). The sweep plans (chunk boundaries +
-/// greedy assignment + prefix tables) once and only re-synthesises
-/// per-point programs, so the win is the amortised planning share of
-/// the pipeline; the simulation run itself is paid by both paths.
-/// Costs are kept small so virtual time stays cheap to simulate (the
-/// machine is quantum-sliced).
-fn sweep_scenario(iterations: usize, threads: usize) -> Scenario {
-    let cost = CostModel::Alternating { even: 3, odd: 7 };
-    let schedule = Schedule::Dynamic(250);
-    let points: Vec<SweepPoint> = (0..16)
-        .map(|i| SweepPoint {
-            machine: MachineConfig {
-                cores: if i % 2 == 0 { 4 } else { 2 },
-                ..MachineConfig::pi()
-            },
-            cost_scale: 1 + i as u64,
-            fork_overhead: 500 + 1_000 * (i as u64 % 4),
-        })
-        .collect();
-    let full = |point: &SweepPoint| {
-        simulate_parallel_loop_lowered(
-            iterations,
-            &cost.scaled(point.cost_scale),
-            schedule,
-            threads,
-            &SimOptions {
-                machine: point.machine,
-                fork_overhead: point.fork_overhead,
-            },
-            Lowering::Rle,
-        )
-        .cycles
-    };
-    let (before_ms, before_cycles) = time_min_ms(|| {
-        points
-            .iter()
-            .map(full)
-            .fold(0u64, |acc, c| acc.wrapping_add(c))
-    });
-    let (after_ms, after_cycles) = time_min_ms(|| {
-        let lowered = LoweredLoop::plan(iterations, &cost, schedule, threads);
-        lowered
-            .sweep(&points)
-            .iter()
-            .map(|o| o.cycles)
-            .fold(0u64, |acc, c| acc.wrapping_add(c))
-    });
-    assert_eq!(
-        before_cycles, after_cycles,
-        "determinism violated: per-point pipeline and batched sweep disagree"
-    );
-    Scenario {
-        name: "parallel_rt/sweep_16pt_dynamic_250_1m",
-        crate_name: "parallel-rt",
-        before: "one full pipeline per sweep point (re-chunk + re-plan + re-lower + run, x16)",
-        after: "LoweredLoop::plan once (chunks, assignment, prefix tables) + per-point RLE fast-forward (sweep x16)",
-        iterations: iterations as u64,
-        threads,
-        before_ms,
-        after_ms,
-        virtual_cycles: after_cycles,
-    }
-}
-
-/// A deterministic observability snapshot of an instrumented guided
-/// loop on the simulated Pi — virtual-domain metrics only, so the
-/// embedded section is byte-identical run to run.
-fn metrics_section() -> String {
-    let registry = obs::Registry::new();
-    let _ = parallel_rt::sim::simulate_parallel_loop_with_metrics(
-        100_000,
-        &CostModel::Uniform(40),
-        Schedule::Guided(64),
-        4,
-        &SimOptions::default(),
-        &registry,
-    );
-    registry.snapshot().to_json_with_digest()
-}
-
-/// `--trace-out` mode: export the canonical four-layer demo trace and
-/// optionally compare its digest against a committed golden file.
-fn trace_mode(out: &str, golden: Option<&str>) -> ! {
+fn trace_mode(out: &str) {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let trace = pbl_core::experiments::demo_trace(threads);
-    let json = trace.to_chrome_json();
-    std::fs::write(out, &json).unwrap_or_else(|e| {
+    std::fs::write(out, trace.to_chrome_json()).unwrap_or_else(|e| {
         eprintln!("simcore: cannot write {out}: {e}");
         std::process::exit(2);
     });
-    let digest = format!("0x{:016x}", trace.digest());
     let analysis = obs::trace::analyze::analyze(&trace);
     println!(
-        "simcore trace: {} events, {} lanes, digest {digest} -> {out}",
+        "simcore trace: {} events, {} lanes, digest 0x{:016x} -> {out}",
         analysis.events,
-        analysis.lanes.len()
+        analysis.lanes.len(),
+        trace.digest()
     );
-    if let Some(golden_path) = golden {
-        let committed = std::fs::read_to_string(golden_path).unwrap_or_else(|e| {
-            eprintln!("simcore: cannot read {golden_path}: {e}");
-            std::process::exit(2);
-        });
-        let committed = committed.trim();
-        if committed == digest {
-            println!("simcore trace: digest matches {golden_path}");
-        } else {
-            eprintln!(
-                "simcore trace: DIGEST MISMATCH: fresh {digest}, committed \
-                 {committed} ({golden_path}) — the trace stream changed"
-            );
-            std::process::exit(1);
-        }
-    }
     if !analysis.attribution_is_exact() {
         eprintln!("simcore trace: attribution identity violated");
         std::process::exit(1);
     }
-    std::process::exit(0);
-}
-
-fn json(scenarios: &[Scenario], metrics_json: &str) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"simcore\",\n");
-    out.push_str(
-        "  \"description\": \"Wall-clock before/after for the O(chunks) RLE lowering and O(1) compute fast-forward; virtual-cycle results are asserted bit-identical between the two paths before recording.\",\n",
-    );
-    out.push_str("  \"command\": \"cargo run --release -p pbl-bench --bin simcore\",\n");
-    out.push_str(&format!("  \"reps_per_measurement\": {REPS},\n"));
-    out.push_str("  \"timer\": \"std::time::Instant, minimum of reps, milliseconds\",\n");
-    let host_cores = pbl_bench::host_cores();
-    let max_threads = scenarios.iter().map(|s| s.threads).max().unwrap_or(1);
-    out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    out.push_str(&format!(
-        "  \"note\": \"{}\",\n",
-        pbl_bench::scaling_note(host_cores, max_threads)
-    ));
-    out.push_str("  \"scenarios\": [\n");
-    for (i, s) in scenarios.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", s.name));
-        out.push_str(&format!("      \"crate\": \"{}\",\n", s.crate_name));
-        out.push_str(&format!("      \"iterations\": {},\n", s.iterations));
-        out.push_str(&format!("      \"threads\": {},\n", s.threads));
-        out.push_str(&format!("      \"before\": \"{}\",\n", s.before));
-        out.push_str(&format!("      \"after\": \"{}\",\n", s.after));
-        out.push_str(&format!("      \"before_ms\": {:.3},\n", s.before_ms));
-        out.push_str(&format!("      \"after_ms\": {:.3},\n", s.after_ms));
-        out.push_str(&format!("      \"speedup\": {:.1},\n", s.speedup()));
-        out.push_str(&format!(
-            "      \"virtual_cycles\": {},\n",
-            s.virtual_cycles
-        ));
-        out.push_str("      \"reports_bit_identical\": true\n");
-        out.push_str(if i + 1 == scenarios.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"metrics\": {}\n",
-        pbl_bench::embed_json(metrics_json, 2)
-    ));
-    out.push_str("}\n");
-    out
 }
 
 fn main() {
-    let mut out_path = "BENCH_simcore.json".to_string();
-    let mut trace_out = None;
-    let mut trace_golden = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--trace-out" => {
-                trace_out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("simcore: --trace-out needs a path");
-                    std::process::exit(2);
-                }))
-            }
-            "--trace-golden" => {
-                trace_golden = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("simcore: --trace-golden needs a path");
-                    std::process::exit(2);
-                }))
-            }
-            other => out_path = other.to_string(),
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.as_slice() {
+        ["--trace-out", out] => trace_mode(out),
+        _ => usage(),
     }
-    if let Some(out) = &trace_out {
-        trace_mode(out, trace_golden.as_deref());
-    }
-
-    let scenarios = vec![
-        pi_sim_scenario(1, 1_000_000),
-        pi_sim_scenario(4, 1_000_000),
-        parallel_rt_scenario(
-            "parallel_rt/uniform_loop_1m_static_chunk_1000",
-            Schedule::StaticChunk(1_000),
-            1_000_000,
-            4,
-        ),
-        parallel_rt_scenario(
-            "parallel_rt/uniform_loop_1m_guided_64",
-            Schedule::Guided(64),
-            1_000_000,
-            4,
-        ),
-        parallel_rt_scenario(
-            "parallel_rt/uniform_loop_4m_static_block",
-            Schedule::StaticBlock,
-            4_000_000,
-            4,
-        ),
-        sweep_scenario(1_000_000, 4),
-    ];
-
-    for s in &scenarios {
-        println!(
-            "{:<46} before {:>9.3} ms  after {:>9.3} ms  speedup {:>7.1}x  ({} virtual cycles)",
-            s.name,
-            s.before_ms,
-            s.after_ms,
-            s.speedup(),
-            s.virtual_cycles
-        );
-    }
-    std::fs::write(&out_path, json(&scenarios, &metrics_section()))
-        .expect("write BENCH_simcore.json");
-    println!("wrote {out_path}");
 }

@@ -179,9 +179,9 @@ impl MetricsSnapshot {
 
     /// Like [`MetricsSnapshot::to_json`] with one extra field: a
     /// `"digest"` line (the FNV-1a fingerprint of the undecorated
-    /// JSON) inserted after the schema header. This is the form the
-    /// bench bins embed, so committed BENCH files carry a
-    /// determinism fingerprint `bench_gate` can insist on.
+    /// JSON) inserted after the schema header. This is the form a
+    /// served job's result carries, so every exported snapshot holds
+    /// its own determinism fingerprint.
     pub fn to_json_with_digest(&self) -> String {
         let digest = format!("  \"digest\": \"0x{:016x}\",\n", self.digest());
         let json = self.to_json();

@@ -379,178 +379,6 @@ pub fn simulate_parallel_loop_lowered(
     SimLoopOutcome::new(&assignment, report)
 }
 
-/// Cumulative chunk costs for one thread of a lowered loop: `cum[j]` is
-/// the total cost of that thread's first `j` chunks, so any chunk's
-/// cost — and any uniform scaling of it — is two lookups away. Shared
-/// by every scenario of a [`LoweredLoop`] sweep; the cost model itself
-/// is never consulted again after the table is built.
-#[derive(Debug, Clone)]
-pub struct PrefixTable {
-    cum: Vec<Cycles>,
-}
-
-impl PrefixTable {
-    fn build(chunks: &[std::ops::Range<usize>], cost: &CostModel) -> Self {
-        let mut cum = Vec::with_capacity(chunks.len() + 1);
-        cum.push(0);
-        for chunk in chunks {
-            let last = *cum.last().expect("non-empty");
-            cum.push(last + cost.chunk_cost(chunk));
-        }
-        PrefixTable { cum }
-    }
-
-    /// Number of chunks covered.
-    pub fn chunks(&self) -> usize {
-        self.cum.len() - 1
-    }
-
-    /// Cost of chunk `j`.
-    pub fn chunk_cost(&self, j: usize) -> Cycles {
-        self.cum[j + 1] - self.cum[j]
-    }
-
-    /// Total cost of every chunk on this thread.
-    pub fn total(&self) -> Cycles {
-        *self.cum.last().expect("non-empty")
-    }
-}
-
-/// One parameter point of a [`LoweredLoop`] sweep: the machine to run
-/// on, a uniform integer scaling of every iteration cost, and the fork
-/// overhead. Scaling all costs by the same positive factor preserves
-/// the greedy self-scheduling assignment exactly (the argmin over
-/// scaled loads, ties included, is the argmin over the originals), so a
-/// plan lowered once is valid for every point.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepPoint {
-    /// The simulated machine for this scenario.
-    pub machine: MachineConfig,
-    /// Positive integer factor applied to every iteration's cost.
-    pub cost_scale: Cycles,
-    /// Cycles charged per forked thread before useful work.
-    pub fork_overhead: Cycles,
-}
-
-impl SweepPoint {
-    /// The unscaled point matching `opts` — the identity scenario.
-    pub fn base(opts: &SimOptions) -> Self {
-        SweepPoint {
-            machine: opts.machine,
-            cost_scale: 1,
-            fork_overhead: opts.fork_overhead,
-        }
-    }
-}
-
-/// A parallel loop planned and lowered **once**, then fast-forwarded
-/// through any number of [`SweepPoint`] scenarios. Planning (the greedy
-/// chunk assignment) and per-chunk closed-form costing happen in
-/// [`LoweredLoop::plan`]; each [`LoweredLoop::run`] only rebuilds the
-/// O(chunks) run-length-encoded programs from the shared
-/// [`PrefixTable`]s and runs the machine — the per-scenario cost of the
-/// naive loop (re-plan, re-cost, re-lower) is paid a single time for
-/// the whole sweep.
-#[derive(Debug, Clone)]
-pub struct LoweredLoop {
-    cost: CostModel,
-    assignment: Vec<Vec<std::ops::Range<usize>>>,
-    iterations_per_thread: Vec<usize>,
-    prefix: Vec<PrefixTable>,
-}
-
-impl LoweredLoop {
-    /// Plans `iterations` of `cost` under `schedule` across `threads`
-    /// and builds the shared prefix tables.
-    pub fn plan(iterations: usize, cost: &CostModel, schedule: Schedule, threads: usize) -> Self {
-        let assignment = plan_assignment(iterations, cost, schedule, threads);
-        let iterations_per_thread = iterations_per_thread(&assignment);
-        let prefix = assignment
-            .iter()
-            .map(|chunks| PrefixTable::build(chunks, cost))
-            .collect();
-        LoweredLoop {
-            cost: *cost,
-            assignment,
-            iterations_per_thread,
-            prefix,
-        }
-    }
-
-    /// The shared per-thread prefix tables.
-    pub fn prefix_tables(&self) -> &[PrefixTable] {
-        &self.prefix
-    }
-
-    /// Run-length-encoded programs for one sweep point, built from the
-    /// prefix tables alone. Uniform chunks become `ComputeRepeat` of the
-    /// scaled iteration cost; every other model becomes one `Compute` of
-    /// the scaled chunk total — exactly what [`lower_programs`] emits
-    /// for the scaled cost model, because every closed-form chunk cost
-    /// is linear in the model's parameters.
-    fn programs(&self, point: &SweepPoint) -> Vec<Program> {
-        assert!(point.cost_scale > 0, "cost_scale must be positive");
-        self.assignment
-            .iter()
-            .zip(&self.prefix)
-            .map(|(chunks, prefix)| {
-                let mut p = Program::new().compute(point.fork_overhead);
-                for (j, chunk) in chunks.iter().enumerate() {
-                    match self.cost {
-                        CostModel::Uniform(c) => {
-                            p = p.compute_repeat(c * point.cost_scale, chunk.len() as u64);
-                        }
-                        _ => {
-                            let total = prefix.chunk_cost(j) * point.cost_scale;
-                            if total > 0 {
-                                p = p.compute(total);
-                            }
-                        }
-                    }
-                }
-                p
-            })
-            .collect()
-    }
-
-    /// Simulates one sweep point. Equivalent, cycle for cycle, to
-    /// [`simulate_parallel_loop_lowered`] with the scaled cost model and
-    /// this point's machine and fork overhead (the equivalence the
-    /// `sweep_matches_full_simulation` test pins down).
-    pub fn run(&self, point: &SweepPoint) -> SimLoopOutcome {
-        let programs = self.programs(point);
-        let report = Machine::new(point.machine).run(programs);
-        SimLoopOutcome {
-            cycles: report.total_cycles,
-            iterations_per_thread: self.iterations_per_thread.clone(),
-            report,
-        }
-    }
-
-    /// Simulates every point of the sweep in order.
-    pub fn sweep(&self, points: &[SweepPoint]) -> Vec<SimLoopOutcome> {
-        points.iter().map(|p| self.run(p)).collect()
-    }
-}
-
-impl CostModel {
-    /// This model with every iteration cost multiplied by `k` — the
-    /// model a [`SweepPoint`] with `cost_scale = k` simulates.
-    pub fn scaled(&self, k: Cycles) -> CostModel {
-        match *self {
-            CostModel::Uniform(c) => CostModel::Uniform(c * k),
-            CostModel::Linear { base, slope } => CostModel::Linear {
-                base: base * k,
-                slope: slope * k,
-            },
-            CostModel::Alternating { even, odd } => CostModel::Alternating {
-                even: even * k,
-                odd: odd * k,
-            },
-        }
-    }
-}
-
 /// Simulates the sequential baseline (no fork overhead, one thread).
 pub fn simulate_sequential_loop(iterations: usize, cost: &CostModel, opts: &SimOptions) -> Cycles {
     let machine = Machine::new(MachineConfig {
@@ -837,99 +665,6 @@ mod tests {
                     assert_eq!(rle.iterations_per_thread, unit.iterations_per_thread);
                     assert_eq!(rle.report.context_switches, unit.report.context_switches);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn sweep_matches_full_simulation() {
-        // A lowered loop fast-forwarded through machine, cost-scale, and
-        // fork-overhead scenarios must reproduce the full re-plan
-        // simulation cycle for cycle.
-        for cost in [
-            CostModel::Uniform(800),
-            CostModel::Linear { base: 10, slope: 4 },
-            CostModel::Alternating { even: 30, odd: 700 },
-        ] {
-            for schedule in [
-                Schedule::StaticBlock,
-                Schedule::Dynamic(16),
-                Schedule::Guided(3),
-            ] {
-                let lowered = LoweredLoop::plan(2_003, &cost, schedule, 4);
-                let points = [
-                    SweepPoint::base(&SimOptions::default()),
-                    SweepPoint {
-                        machine: MachineConfig {
-                            cores: 2,
-                            ..MachineConfig::pi()
-                        },
-                        cost_scale: 1,
-                        fork_overhead: 20_000,
-                    },
-                    SweepPoint {
-                        machine: MachineConfig::pi(),
-                        cost_scale: 7,
-                        fork_overhead: 20_000,
-                    },
-                    SweepPoint {
-                        machine: MachineConfig::pi(),
-                        cost_scale: 3,
-                        fork_overhead: 500,
-                    },
-                ];
-                for (outcome, point) in lowered.sweep(&points).iter().zip(&points) {
-                    let full = simulate_parallel_loop_lowered(
-                        2_003,
-                        &cost.scaled(point.cost_scale),
-                        schedule,
-                        4,
-                        &SimOptions {
-                            machine: point.machine,
-                            fork_overhead: point.fork_overhead,
-                        },
-                        Lowering::Rle,
-                    );
-                    assert_eq!(
-                        outcome.cycles, full.cycles,
-                        "{cost:?} {schedule:?} scale={}",
-                        point.cost_scale
-                    );
-                    assert_eq!(outcome.iterations_per_thread, full.iterations_per_thread);
-                    assert_eq!(
-                        outcome.report.context_switches,
-                        full.report.context_switches
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn prefix_tables_mirror_chunk_costs() {
-        let cost = CostModel::Linear { base: 5, slope: 3 };
-        let lowered = LoweredLoop::plan(1_001, &cost, Schedule::Dynamic(25), 4);
-        let assignment = plan_assignment(1_001, &cost, Schedule::Dynamic(25), 4);
-        for (table, chunks) in lowered.prefix_tables().iter().zip(&assignment) {
-            assert_eq!(table.chunks(), chunks.len());
-            for (j, chunk) in chunks.iter().enumerate() {
-                assert_eq!(table.chunk_cost(j), cost.chunk_cost(chunk));
-            }
-            let total: Cycles = chunks.iter().map(|c| cost.chunk_cost(c)).sum();
-            assert_eq!(table.total(), total);
-        }
-    }
-
-    #[test]
-    fn scaled_cost_model_scales_every_iteration() {
-        for cost in [
-            CostModel::Uniform(7),
-            CostModel::Linear { base: 5, slope: 3 },
-            CostModel::Alternating { even: 2, odd: 9 },
-        ] {
-            let scaled = cost.scaled(6);
-            for i in [0usize, 1, 2, 17] {
-                assert_eq!(scaled.cost(i), cost.cost(i) * 6, "{cost:?} i={i}");
             }
         }
     }

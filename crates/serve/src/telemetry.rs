@@ -13,7 +13,7 @@
 //! * **invariant** (`sem/…` admission-side counters): decided before
 //!   routing, so bit-identical across every (shards × workers) cell —
 //!   their digest ([`obs::SeriesSet::invariant_digest`]) is *the*
-//!   telemetry digest bench_gate pins;
+//!   telemetry digest `tests/serve.rs` pins;
 //! * **per-shard** (`shard/…` hit rates, sojourns, queue depth):
 //!   worker-invariant for a fixed shard count, like the full semester
 //!   digest.

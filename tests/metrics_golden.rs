@@ -30,8 +30,8 @@ fn metrics_snapshot_json_is_golden_across_runs_and_thread_counts() {
 }
 
 /// The observation bytes as committed: the `metrics` artefact's
-/// snapshot and the loop metrics `simcore` embeds in
-/// `BENCH_simcore.json`. Any change to what an engine records, or to
+/// snapshot and the metrics of a 100 000-iteration guided loop on the
+/// simulated Pi. Any change to what an engine records, or to
 /// the order it registers metrics in, moves one of these digests.
 #[test]
 fn metrics_digests_match_the_committed_values() {

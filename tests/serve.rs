@@ -350,8 +350,7 @@ fn semester_digest_matrix_is_bit_identical() {
 
 /// The smoke semester's health pins as committed: the clean semester
 /// fires no incident and yields the invariant telemetry digest, and the
-/// storm semester trips every rule, three incidents in all. The serve
-/// bench records the same numbers in `BENCH_serve.json`.
+/// storm semester trips every rule, three incidents in all.
 #[test]
 fn clean_semester_is_quiet_and_storm_fires() {
     let clean = SemesterConfig::smoke();

@@ -9,8 +9,8 @@ use pbl_core::experiments::demo_trace;
 
 /// The canonical four-layer trace is a pure function of the workload:
 /// repeated runs and every thread count in 1/2/4/8 produce the same
-/// bytes, and the FNV-1a digest matches the committed golden that CI's
-/// trace smoke step gates on (`tests/golden/simcore_trace.digest`).
+/// bytes, and the FNV-1a digest matches the committed golden
+/// (`tests/golden/simcore_trace.digest`).
 #[test]
 fn demo_trace_chrome_json_is_golden_across_runs_and_thread_counts() {
     let golden = demo_trace(1).to_chrome_json();
