@@ -1,42 +1,42 @@
-//! Deterministic checks of the `pbl-serve` job service and sharded
-//! cluster, plus trace and telemetry exports. Nothing here is timed:
-//! the benchmark's `semester_warm` and `semester_thrash` workloads in
-//! `perfbench/` measure the cluster's wall time.
+//! Deterministic checks of the `pbl-serve` sharded cluster, plus
+//! trace and telemetry exports. Nothing here is timed: the benchmark's
+//! `semester_warm` and `semester_thrash` workloads in `perfbench/`
+//! measure the cluster's wall time.
 //!
 //! Usage:
 //!   cargo run --release -p pbl-bench --bin serve -- --check
 //!   cargo run --release -p pbl-bench --bin serve -- --trace-out trace.json
 //!   cargo run --release -p pbl-bench --bin serve -- --series-out series.json
 //!
-//! `--check` replays the synthetic course week across a 1/2/4/8 worker
-//! matrix and the smoke semester (with telemetry attached) across a
-//! (shards × workers) = {1,2,4} × {1,4} cluster matrix, exiting
-//! non-zero if any full digest varies with worker count, or the
-//! semantic digest or invariant telemetry digest varies at all. It
-//! then serves the full semester at 1/2/4/8 shards × 4 workers and
-//! exits non-zero unless every cell's digests, accepted, computed and
-//! saved counts and p99 sojourn equal the committed pins — wired into
-//! CI as the serve determinism smoke step. `--trace-out` writes
-//! Monday's scheduler trace, and `--series-out` writes the clean smoke
-//! semester's `"pbl-ts/v1"` series JSON for artifact upload.
+//! `--check` replays the synthetic course week on a one-shard cluster
+//! across a 1/2/4/8 worker matrix and the smoke semester (with
+//! telemetry attached) across a (shards × workers) = {1,2,4} × {1,4}
+//! cluster matrix, exiting non-zero if any full digest varies with
+//! worker count, or the semantic digest or invariant telemetry digest
+//! varies at all. It then serves the full semester at 1/2/4/8 shards ×
+//! 4 workers and exits non-zero unless every cell's digests, accepted,
+//! computed and saved counts and p99 sojourn equal the committed pins
+//! — wired into CI as the serve determinism smoke step. `--trace-out`
+//! writes Monday's scheduler trace on one shard × 4 workers, and
+//! `--series-out` writes the clean smoke semester's `"pbl-ts/v1"`
+//! series JSON for artifact upload.
 //!
 //! Any other arguments print a usage line and exit 2.
 
 use serve::cluster::{self, Cluster, ClusterConfig};
 use serve::telemetry;
 use serve::workload::{course_week, SemesterConfig};
-use serve::{Service, ServiceConfig};
 
-/// Serves the whole week on a fresh service, returning the chained
-/// FNV-1a digest of every day's report plus the final cache state —
-/// the one number the determinism matrix compares.
+/// Serves the whole week on a fresh one-shard cluster, returning the
+/// chained FNV-1a digest of every day's report plus the final cache
+/// state — the one number the determinism matrix compares.
 fn week_digest(workers: usize) -> u64 {
-    let service = Service::new(ServiceConfig::with_workers(workers));
+    let cluster = Cluster::new(ClusterConfig::with_shards(1, workers));
     let mut bytes = Vec::new();
     for day in course_week() {
-        bytes.extend(service.run_batch(&day).digest().to_le_bytes());
+        bytes.extend(cluster.run_day(&day).digest().to_le_bytes());
     }
-    bytes.extend(service.cache_digest().to_le_bytes());
+    bytes.extend(cluster.state_digest().to_le_bytes());
     obs::trace::fnv1a(&bytes)
 }
 
@@ -212,11 +212,11 @@ fn series_mode(out: &str) -> ! {
     std::process::exit(0);
 }
 
-/// `--trace-out` mode: the scheduler trace of Monday's batch.
+/// `--trace-out` mode: the scheduler trace of Monday on one shard.
 fn trace_mode(out: &str) -> ! {
     let week = course_week();
     let monday = &week[0];
-    let report = Service::new(ServiceConfig::default()).run_batch(monday);
+    let report = Cluster::new(ClusterConfig::with_shards(1, 4)).run_day(monday);
     let trace = report.trace(monday, &obs::trace::TraceConfig::default());
     std::fs::write(out, trace.to_chrome_json()).unwrap_or_else(|e| {
         eprintln!("serve: cannot write {out}: {e}");

@@ -4,49 +4,16 @@
 //! the FNV-1a hash of the spec's canonical encoding — so two textually
 //! independent submissions of the same work share one entry.
 //!
-//! The cache itself never computes. The batch and cluster coordinators
-//! keep it deterministic by mutating it only on the coordinator in
-//! dispatch order, and they deduplicate identical jobs themselves (see
-//! [`crate::service`] and [`crate::cluster`]): the first job with a
-//! digest claims the computation, and later ones join it and share the
-//! leader's `Arc`.
+//! The cache itself never computes. The cluster coordinator keeps it
+//! deterministic by mutating it only in `(shard, dispatch)` order, and
+//! it deduplicates identical jobs itself (see [`crate::cluster`]): the
+//! first job with a digest claims the computation, and later ones join
+//! it and share the leader's `Arc`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::result::JobResult;
-
-/// How a served job's result was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheEvent {
-    /// Found ready in the cache.
-    Hit,
-    /// Computed by this job (and, capacity permitting, stored).
-    Computed,
-    /// Deduplicated onto an identical job claimed earlier in the same
-    /// batch.
-    Joined,
-}
-
-impl CacheEvent {
-    /// Stable tag byte, mixed into batch digests.
-    pub fn tag(self) -> u8 {
-        match self {
-            CacheEvent::Hit => 0,
-            CacheEvent::Computed => 1,
-            CacheEvent::Joined => 2,
-        }
-    }
-
-    /// Stable label for traces and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            CacheEvent::Hit => "hit",
-            CacheEvent::Computed => "computed",
-            CacheEvent::Joined => "joined",
-        }
-    }
-}
 
 /// Slab-index sentinel for "no node".
 const NIL: usize = usize::MAX;
@@ -188,8 +155,7 @@ impl Lru {
 }
 
 /// The content-addressed cache. `capacity` 0 disables caching entirely
-/// (every lookup misses and nothing is stored) — the cold baseline the
-/// serve benchmark compares against.
+/// (every lookup misses and nothing is stored).
 #[derive(Debug)]
 pub struct ResultCache {
     capacity: usize,
@@ -207,7 +173,7 @@ impl ResultCache {
     }
 
     /// Looks `digest` up; on a hit, bumps the entry to hottest. The
-    /// batch and cluster coordinators call it in dispatch order, which
+    /// cluster coordinator calls it in `(shard, dispatch)` order, which
     /// is what keeps the LRU state deterministic.
     pub fn lookup_touch(&self, digest: u64) -> Option<Arc<JobResult>> {
         let mut lru = self.lru.lock().expect("cache lock");
@@ -250,7 +216,7 @@ impl ResultCache {
     }
 
     /// FNV-1a digest of the LRU order (coldest to hottest) — the
-    /// cache-state half of the service determinism contract: two runs
+    /// cache-state half of the cluster's determinism contract: two runs
     /// of the same workload must leave the cache in the same state.
     pub fn digest(&self) -> u64 {
         let order = self.lru.lock().expect("cache lock").order();

@@ -1,8 +1,10 @@
 //! The sharded cluster: N coordinators behind a consistent-hash ring,
-//! backed by a shared L2 result cache.
+//! backed by a shared L2 result cache — the crate's one serving front
+//! end.
 //!
-//! One [`Service`](crate::service::Service) coordinator serves a
-//! course week; a semester of open-loop traffic needs a fleet. The
+//! [`Cluster::run_day`] serves both traffic shapes. A semester of
+//! open-loop arrivals runs on a fleet; the course week runs as
+//! one-shard days whose submissions all arrive at virtual time 0. The
 //! [`Cluster`] routes every admitted submission to one of N
 //! **coordinator shards** by consistent-hashing its submission digest
 //! over a ring of virtual nodes ([`HashRing`]), so adding a shard
@@ -13,14 +15,18 @@
 //! shards** — two shards needing the same digest in one day compute it
 //! once.
 //!
-//! ## The determinism contract, one level up
+//! ## The determinism contract
 //!
-//! Every ordering decision is made by the cluster coordinator in
-//! **`(shard, dispatch)` order** — shard 0's dispatch plan first, then
-//! shard 1's, and so on. L2 lookups, single-flight claims, cache fills
-//! and evictions all happen in that fixed serial order; only the pure
-//! compute of claimed specs fans out to the worker pool. Two digests
-//! fall out:
+//! Everything observable — dispatch order, per-arrival outcomes, cache
+//! contents, counters, traces — is a pure function of the arrivals and
+//! of the cache state the day starts from. Admission runs in arrival
+//! order and applies the queue cap, then the tenant cap, then spec
+//! validation. Every later ordering decision is made by the cluster
+//! coordinator in **`(shard, dispatch)` order** — shard 0's dispatch
+//! plan first, then shard 1's, and so on. L2 lookups, single-flight
+//! claims, cache fills and evictions all happen in that fixed serial
+//! order; only the pure compute of claimed specs fans out to the
+//! worker pool. Two digests fall out:
 //!
 //! * the **full digest** commits to everything — sources, shard
 //!   assignments, virtual times — and is invariant under **worker
@@ -37,13 +43,16 @@ use crate::cache::ResultCache;
 use crate::exec;
 use crate::result::JobResult;
 use crate::sched::{self, Submission};
-use crate::service::RejectReason;
+use crate::spec::SpecError;
 use crate::workload::{self, Arrival, JobUniverse, SemesterConfig};
 use obs::trace::fnv1a;
 
 // ---------------------------------------------------------------
 // Consistent-hash ring
 // ---------------------------------------------------------------
+
+/// Virtual nodes per shard on a cluster's hash ring.
+const VNODES: u32 = 128;
 
 /// A consistent-hash ring with virtual nodes.
 ///
@@ -119,8 +128,6 @@ pub struct ClusterConfig {
     /// Worker threads per shard; the execute pool is the aggregate
     /// `shards × workers_per_shard` (capped at 16).
     pub workers_per_shard: usize,
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: u32,
     /// Per-shard L1 result-cache capacity (entries).
     pub l1_capacity: usize,
     /// Shared L2 capacity **per shard** — the L2 tier scales with the
@@ -142,7 +149,6 @@ impl ClusterConfig {
         ClusterConfig {
             shards,
             workers_per_shard,
-            vnodes: 128,
             l1_capacity: 96,
             l2_capacity_per_shard: 1_024,
             queue_capacity: 32_768,
@@ -152,7 +158,28 @@ impl ClusterConfig {
     }
 }
 
-/// Where a served job's result came from, cluster edition.
+/// Why an arrival was refused at admission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RejectReason {
+    /// The day's bounded queue was full.
+    QueueFull,
+    /// The tenant hit its per-day admission cap.
+    TenantCap,
+    /// The spec failed validation.
+    InvalidSpec(SpecError),
+}
+
+impl RejectReason {
+    fn tag(self) -> u8 {
+        match self {
+            RejectReason::QueueFull => 0,
+            RejectReason::TenantCap => 1,
+            RejectReason::InvalidSpec(_) => 2,
+        }
+    }
+}
+
+/// Where a served job's result came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterSource {
     /// Ready in the owning shard's L1.
@@ -519,7 +546,7 @@ pub struct Cluster {
 impl Cluster {
     /// Builds an idle cluster (cold caches).
     pub fn new(config: ClusterConfig) -> Self {
-        let ring = HashRing::new(config.shards, config.vnodes);
+        let ring = HashRing::new(config.shards, VNODES);
         let l1 = (0..config.shards)
             .map(|_| ResultCache::new(config.l1_capacity))
             .collect();
@@ -946,6 +973,7 @@ pub fn semester_artefact() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{CostSpec, JobSpec, ScheduleSpec};
 
     fn smoke_cluster(shards: u32, workers: usize) -> Cluster {
         let mut config = ClusterConfig::with_shards(shards, workers);
@@ -1050,7 +1078,6 @@ mod tests {
     fn cross_shard_single_flight_dedups_identical_specs() {
         // Same spec from many tenants spreads across shards via the
         // tenant-keyed route; single-flight must compute it once.
-        use crate::spec::{CostSpec, JobSpec, ScheduleSpec};
         let spec = JobSpec::LoopSim {
             iterations: 2_000,
             cost: CostSpec::Uniform { cycles: 80 },
@@ -1067,12 +1094,126 @@ mod tests {
         let report = cluster.run_day(&arrivals);
         assert_eq!(report.stats.computed, 1, "one compute for the class");
         assert!(report.stats.cross_joins > 0, "spec never crossed shards");
+        // Every tenant holds the one computed allocation.
+        let results: Vec<&Arc<JobResult>> = report
+            .outcomes
+            .iter()
+            .map(|o| match o {
+                ClusterOutcome::Done(done) => &done.result,
+                ClusterOutcome::Rejected(reason) => panic!("rejected: {reason:?}"),
+            })
+            .collect();
+        assert!(results.iter().all(|r| Arc::ptr_eq(r, results[0])));
         // And with single-flight off, every shard computes its own.
         let mut config = ClusterConfig::with_shards(4, 2);
         config.single_flight = false;
         let naive = Cluster::new(config).run_day(&arrivals);
         assert!(naive.stats.computed > 1);
         assert_eq!(report.semantic_digest(), naive.semantic_digest());
+    }
+
+    /// Arrivals at vt 0, tenant and spec per entry.
+    fn at_zero(subs: Vec<(u32, JobSpec)>) -> Vec<Arrival> {
+        subs.into_iter()
+            .map(|(tenant, spec)| Arrival {
+                vt: 0,
+                sub: Submission::new(tenant, 1, spec),
+            })
+            .collect()
+    }
+
+    fn loop_spec(iterations: u64, threads: u32) -> JobSpec {
+        JobSpec::LoopSim {
+            iterations,
+            cost: CostSpec::Uniform { cycles: 100 },
+            schedule: ScheduleSpec::StaticBlock,
+            threads,
+        }
+    }
+
+    fn rejections(report: &DayReport) -> Vec<Option<RejectReason>> {
+        report
+            .outcomes
+            .iter()
+            .map(|o| match o {
+                ClusterOutcome::Done(_) => None,
+                ClusterOutcome::Rejected(reason) => Some(*reason),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn admission_rejects_past_the_tenant_and_queue_caps() {
+        // Tenant 0 floods; tenants 1-3 each send one job.
+        let mut subs: Vec<(u32, JobSpec)> = (0..4).map(|_| (0, loop_spec(1_000, 4))).collect();
+        subs.extend((1..4).map(|t| (t, loop_spec(2_000 + t as u64, 4))));
+        let arrivals = at_zero(subs);
+        let mut config = ClusterConfig::with_shards(1, 1);
+        config.queue_capacity = 5;
+        config.tenant_cap = 2;
+        let report = Cluster::new(config.clone()).run_day(&arrivals);
+        let cap = Some(RejectReason::TenantCap);
+        assert_eq!(
+            rejections(&report),
+            [None, None, cap, cap, None, None, None]
+        );
+        assert_eq!(report.stats.rejected_tenant_cap, 2, "{:?}", report.stats);
+        // A full queue rejects the tail regardless of tenant.
+        config.queue_capacity = 2;
+        config.tenant_cap = 24;
+        let report = Cluster::new(config).run_day(&arrivals);
+        let full = Some(RejectReason::QueueFull);
+        assert_eq!(
+            rejections(&report),
+            [None, None, full, full, full, full, full]
+        );
+        assert_eq!(report.stats.rejected_queue_full, 5, "{:?}", report.stats);
+    }
+
+    #[test]
+    fn invalid_specs_reject_with_their_spec_error() {
+        let replication =
+            |permutations, bootstrap_reps, section_permutations| JobSpec::Replication {
+                replicates: 2,
+                num_students: 24,
+                master_seed: 11,
+                permutations,
+                bootstrap_reps,
+                section_permutations,
+            };
+        let arrivals = at_zero(vec![
+            (0, loop_spec(1_000, 0)),
+            (0, loop_spec(1_000, 4)),
+            (1, replication(0, 150, 100)),
+            (1, replication(200, 0, 100)),
+            (1, replication(200, 150, 0)),
+            // Tenant 2 fills its cap of 2, then sends an invalid spec:
+            // the cap is checked first.
+            (2, loop_spec(3_000, 4)),
+            (2, loop_spec(3_000, 4)),
+            (2, loop_spec(1_000, 0)),
+        ]);
+        // Rejected specs use none of the cap, so tenant 1's third
+        // invalid spec still reaches validation.
+        let mut config = ClusterConfig::with_shards(1, 1);
+        config.tenant_cap = 2;
+        let report = Cluster::new(config).run_day(&arrivals);
+        let invalid = |e| Some(RejectReason::InvalidSpec(e));
+        assert_eq!(
+            rejections(&report),
+            [
+                invalid(SpecError::BadThreadCount),
+                None,
+                invalid(SpecError::EmptyReplication),
+                invalid(SpecError::EmptyReplication),
+                invalid(SpecError::EmptyReplication),
+                None,
+                None,
+                Some(RejectReason::TenantCap),
+            ]
+        );
+        assert_eq!(report.stats.rejected_invalid, 4);
+        assert_eq!(report.stats.rejected_tenant_cap, 1);
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! snapshot embedded in the result describes exactly this job — and a
 //! cache hit later replays byte-identical metrics. Nothing here reads
 //! clocks, thread ids or global state: `execute` is a pure function of
-//! the spec, which is what lets the service cache by content digest
+//! the spec, which is what lets the cluster cache by content digest
 //! and fan jobs across any number of workers without changing results.
 //!
 //! A claimed job runs to completion on the pool thread that claimed
 //! it. The simulated loop and reduction jobs and the MapReduce engine
 //! start no thread, and the replication engine runs with `threads: 1`,
-//! so the service parallelises across jobs, never inside one. Report
+//! so the cluster parallelises across jobs, never inside one. Report
 //! jobs render with one thread too; the `race` artefact is the
 //! exception, since its subject is real threads racing on a counter.
 
@@ -169,7 +169,7 @@ pub fn execute(spec: &JobSpec) -> JobResult {
             bootstrap_reps,
             section_permutations,
         } => {
-            // Threads fixed at 1: the service parallelises across
+            // Threads fixed at 1: the cluster parallelises across
             // jobs, not inside them; the report is thread-invariant
             // anyway, so this choice cannot change the payload.
             let cfg = pbl_core::replicate::ReplicationConfig {

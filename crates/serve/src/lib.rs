@@ -17,15 +17,14 @@
 //! * [`cache`] — the content-addressed result cache with LRU
 //!   eviction.
 //! * [`exec`] — pure job execution with a per-job metrics registry.
-//! * [`service`] — admission control, the five-phase batch pipeline,
-//!   the worker pool, and the batch report's metrics and trace.
-//! * [`workload`] — the synthetic course-week trace the serve
-//!   benchmark and CI determinism smoke replay, plus the open-loop
-//!   semester generator (seeded Poisson arrivals, deadline bursts,
-//!   a bounded Zipf job universe).
-//! * [`cluster`] — the consistent-hash sharded cluster: N coordinator
-//!   shards with private L1 caches behind a shared L2 tier and
-//!   cross-shard single-flight, serving whole semesters with
+//! * [`workload`] — the synthetic course week (every submission
+//!   arriving at virtual time 0) and the open-loop semester generator
+//!   (seeded Poisson arrivals, deadline bursts, a bounded Zipf job
+//!   universe).
+//! * [`cluster`] — the one serving front end: N consistent-hash
+//!   coordinator shards with private L1 caches behind a shared L2 tier
+//!   and cross-shard single-flight. It serves the course week as
+//!   one-shard days and whole semesters on a fleet, with
 //!   shard-count-invariant semantics.
 //! * [`telemetry`] — per-day, per-shard time series over a served
 //!   semester (virtual-time windows, shard-invariant admission series
@@ -34,12 +33,12 @@
 //!
 //! ## The service determinism contract
 //!
-//! Everything observable — dispatch order, per-job outcomes, cache
+//! Everything observable — dispatch order, per-arrival outcomes, cache
 //! contents, counters, traces — is a pure function of the submitted
 //! workload. Worker threads only execute pure jobs; every ordering
-//! decision and cache mutation happens on the coordinator in WFQ
-//! dispatch order. `BatchReport::digest()` is the oracle CI gates on
-//! across 1/2/4/8-worker runs.
+//! decision and cache mutation happens on the coordinator in
+//! `(shard, dispatch)` order. `DayReport::digest()` is the oracle CI
+//! gates on across 1/2/4/8-worker runs of the course week.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -49,21 +48,17 @@ pub mod cluster;
 pub mod exec;
 pub mod result;
 pub mod sched;
-pub mod service;
 pub mod spec;
 pub mod telemetry;
 pub mod workload;
 
-pub use cache::{CacheEvent, ResultCache};
+pub use cache::ResultCache;
 pub use cluster::{
     Cluster, ClusterConfig, ClusterOutcome, ClusterSource, ClusterStats, DayReport, HashRing,
-    SemesterReport,
+    RejectReason, SemesterReport,
 };
 pub use result::JobResult;
 pub use sched::{Planned, Submission};
-pub use service::{
-    BatchReport, BatchStats, DoneJob, JobOutcome, RejectReason, Service, ServiceConfig,
-};
 pub use spec::{CostSpec, JobSpec, MrWorkload, ReductionStyleSpec, ScheduleSpec, SpecError};
 pub use telemetry::{
     collect_day, evaluate_health, health_artefact, health_policy, run_semester_observed,

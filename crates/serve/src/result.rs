@@ -17,7 +17,7 @@ pub struct JobResult {
 impl JobResult {
     /// FNV-1a digest over both serialized fields, length-prefixed so
     /// the field boundary is unambiguous. The per-job leaf of the
-    /// batch determinism digest.
+    /// cluster's day digests.
     pub fn digest(&self) -> u64 {
         let mut bytes = Vec::with_capacity(8 + self.payload.len() + 8 + self.metrics_json.len());
         bytes.extend((self.payload.len() as u64).to_le_bytes());

@@ -273,8 +273,8 @@ pub enum JobSpec {
         reduce_workers: u32,
     },
     /// A replication mini-study (classroom cohorts + resampling
-    /// battery through the replication engine, single-threaded inside
-    /// the service worker).
+    /// battery through the replication engine, single-threaded on the
+    /// pool thread that claimed it).
     Replication {
         /// Independent study replicates.
         replicates: u32,

@@ -4,8 +4,9 @@
 //! 26 teams (13 per section × 2 sections) repeatedly submit
 //! near-identical patternlet and assignment runs against shared
 //! Raspberry Pi hardware. [`course_week`] reproduces one week of that
-//! traffic as five daily batches, with exactly the reuse structure
-//! that makes content-addressed caching pay:
+//! traffic as five days whose submissions all arrive at virtual time 0,
+//! with exactly the reuse structure that makes content-addressed
+//! caching pay:
 //!
 //! * every team runs the **day's patternlet** (same spec for the whole
 //!   class — one compute, 25 joins per day);
@@ -82,10 +83,10 @@ fn weekly_reduction() -> JobSpec {
     }
 }
 
-/// One week of course traffic: five daily batches over [`TEAMS`]
-/// tenants. Team numbers are the tenant ids; ticket weights come from
-/// [`tickets`].
-pub fn course_week() -> Vec<Vec<Submission>> {
+/// One week of course traffic: five days over [`TEAMS`] tenants, each
+/// day's submissions all arriving at virtual time 0. Team numbers are
+/// the tenant ids; ticket weights come from [`tickets`].
+pub fn course_week() -> Vec<Vec<Arrival>> {
     let mut week = Vec::with_capacity(DAYS);
     for day in 0..DAYS {
         let mut batch = Vec::new();
@@ -179,7 +180,12 @@ pub fn course_week() -> Vec<Vec<Submission>> {
                 _ => {}
             }
         }
-        week.push(batch);
+        week.push(
+            batch
+                .into_iter()
+                .map(|sub| Arrival { vt: 0, sub })
+                .collect(),
+        );
     }
     week
 }
@@ -583,8 +589,12 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.len(), y.len());
             for (sa, sb) in x.iter().zip(y) {
-                assert_eq!(sa.spec, sb.spec);
-                assert_eq!((sa.tenant, sa.tickets), (sb.tenant, sb.tickets));
+                assert_eq!((sa.vt, sb.vt), (0, 0));
+                assert_eq!(sa.sub.spec, sb.sub.spec);
+                assert_eq!(
+                    (sa.sub.tenant, sa.sub.tickets),
+                    (sb.sub.tenant, sb.sub.tickets)
+                );
             }
         }
         let total: usize = a.iter().map(Vec::len).sum();
@@ -594,7 +604,7 @@ mod tests {
     #[test]
     fn reuse_structure_leaves_few_unique_specs() {
         let week = course_week();
-        let unique: HashSet<u64> = week.iter().flatten().map(|s| s.spec.digest()).collect();
+        let unique: HashSet<u64> = week.iter().flatten().map(|a| a.sub.spec.digest()).collect();
         let total: usize = week.iter().map(Vec::len).sum();
         // The workload's point: far more submissions than distinct jobs.
         assert_eq!(unique.len(), 43, "unique spec count changed");
@@ -603,17 +613,18 @@ mod tests {
 
     #[test]
     fn every_spec_in_the_trace_validates() {
-        for sub in course_week().iter().flatten() {
-            assert!(sub.spec.validate().is_ok(), "{:?}", sub.spec);
+        for arrival in course_week().iter().flatten() {
+            let spec = &arrival.sub.spec;
+            assert!(spec.validate().is_ok(), "{spec:?}");
         }
     }
 
     #[test]
     fn all_tenants_and_weights_appear() {
         let week = course_week();
-        let tenants: HashSet<u32> = week.iter().flatten().map(|s| s.tenant).collect();
+        let tenants: HashSet<u32> = week.iter().flatten().map(|a| a.sub.tenant).collect();
         assert_eq!(tenants.len(), TEAMS as usize);
-        let weights: HashSet<u32> = week.iter().flatten().map(|s| s.tickets).collect();
+        let weights: HashSet<u32> = week.iter().flatten().map(|a| a.sub.tickets).collect();
         assert_eq!(weights, HashSet::from([1, 2, 3]));
     }
 
