@@ -513,12 +513,42 @@ impl Trace {
 /// fingerprint (the same algorithm fingerprints metrics snapshots and
 /// replication reports).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming FNV-1a: [`write`](Fnv1a::write) byte strings, then
+/// [`finish`](Fnv1a::finish). Any split of the same bytes across writes
+/// gives the [`fnv1a`] of their concatenation, so an encoding can be
+/// hashed as it is produced, without collecting it first.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The offset basis: the hash of no bytes.
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Feeds `bytes` into the hash.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= byte as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
 }
 
 fn escape(s: &str) -> String {

@@ -2,7 +2,11 @@
 //!
 //! Keys are [`JobSpec::digest`](crate::spec::JobSpec::digest) values —
 //! the FNV-1a hash of the spec's canonical encoding — so two textually
-//! independent submissions of the same work share one entry.
+//! independent submissions of the same work share one entry. The
+//! cluster computes each submission's digest once, at admission, and
+//! passes it in; the cache never digests a spec itself. Each lookup or
+//! insert probes the digest index once, a `cluster::KeyMap` whose
+//! hasher is seeded per cache.
 //!
 //! The cache itself never computes. The cluster coordinator keeps it
 //! deterministic by mutating it only in `(shard, dispatch)` order, and
@@ -10,9 +14,10 @@
 //! first job with a digest claims the computation, and later ones join
 //! it and share the leader's `Arc`.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::sync::{Arc, Mutex};
 
+use crate::cluster::KeyMap;
 use crate::result::JobResult;
 
 /// Slab-index sentinel for "no node".
@@ -27,7 +32,7 @@ struct Node {
     next: usize,
 }
 
-/// O(1) LRU: a `HashMap` from digest to slab slot plus an intrusive
+/// O(1) LRU: a hash map from digest to slab slot plus an intrusive
 /// doubly-linked list from coldest (`head`) to hottest (`tail`).
 /// Replaces the original `Vec<u64>` recency order, whose
 /// position-scan-and-remove touch was O(capacity) per hit — the
@@ -38,7 +43,7 @@ struct Node {
 struct Lru {
     nodes: Vec<Node>,
     free: Vec<usize>,
-    index: HashMap<u64, usize>,
+    index: KeyMap<u64, usize>,
     /// Coldest entry (evicted first), or `NIL` when empty.
     head: usize,
     /// Hottest entry (most recently touched), or `NIL` when empty.
@@ -50,7 +55,7 @@ impl Default for Lru {
         Lru {
             nodes: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: KeyMap::default(),
             head: NIL,
             tail: NIL,
         }
@@ -60,16 +65,6 @@ impl Default for Lru {
 impl Lru {
     fn len(&self) -> usize {
         self.index.len()
-    }
-
-    fn get_cloned(&self, digest: u64) -> Option<Arc<JobResult>> {
-        self.index
-            .get(&digest)
-            .map(|&slot| Arc::clone(&self.nodes[slot].result))
-    }
-
-    fn contains(&self, digest: u64) -> bool {
-        self.index.contains_key(&digest)
     }
 
     fn unlink(&mut self, slot: usize) {
@@ -94,20 +89,33 @@ impl Lru {
         self.tail = slot;
     }
 
-    /// Moves an existing entry to the hottest position; a no-op for
-    /// unknown digests.
-    fn touch(&mut self, digest: u64) {
-        if let Some(&slot) = self.index.get(&digest) {
-            if self.tail != slot {
-                self.unlink(slot);
-                self.push_hottest(slot);
-            }
+    /// Moves the entry in `slot` to the hottest position.
+    fn touch(&mut self, slot: usize) {
+        if self.tail != slot {
+            self.unlink(slot);
+            self.push_hottest(slot);
         }
     }
 
-    /// Inserts a new entry at the hottest position. The caller ensures
-    /// the digest is not already present.
-    fn insert(&mut self, digest: u64, result: Arc<JobResult>) {
+    /// The entry for `digest`, moved to the hottest position.
+    fn get_touch(&mut self, digest: u64) -> Option<Arc<JobResult>> {
+        let slot = *self.index.get(&digest)?;
+        self.touch(slot);
+        Some(Arc::clone(&self.nodes[slot].result))
+    }
+
+    /// Inserts a new entry at the hottest position and returns true. If
+    /// the digest is already present, touches its entry instead (the
+    /// held result stays) and returns false.
+    fn insert(&mut self, digest: u64, result: Arc<JobResult>) -> bool {
+        let vacant = match self.index.entry(digest) {
+            Entry::Occupied(entry) => {
+                let slot = *entry.get();
+                self.touch(slot);
+                return false;
+            }
+            Entry::Vacant(vacant) => vacant,
+        };
         let node = Node {
             digest,
             result,
@@ -124,8 +132,9 @@ impl Lru {
                 self.nodes.len() - 1
             }
         };
-        self.index.insert(digest, slot);
+        vacant.insert(slot);
         self.push_hottest(slot);
+        true
     }
 
     /// Removes and returns the coldest digest, or `None` when empty.
@@ -176,12 +185,7 @@ impl ResultCache {
     /// cluster coordinator calls it in `(shard, dispatch)` order, which
     /// is what keeps the LRU state deterministic.
     pub fn lookup_touch(&self, digest: u64) -> Option<Arc<JobResult>> {
-        let mut lru = self.lru.lock().expect("cache lock");
-        let result = lru.get_cloned(digest);
-        if result.is_some() {
-            lru.touch(digest);
-        }
-        result
+        self.lru.lock().expect("cache lock").get_touch(digest)
     }
 
     /// Inserts a computed result, evicting coldest entries past
@@ -192,11 +196,9 @@ impl ResultCache {
             return 0;
         }
         let mut lru = self.lru.lock().expect("cache lock");
-        if lru.contains(digest) {
-            lru.touch(digest);
+        if !lru.insert(digest, result) {
             return 0;
         }
-        lru.insert(digest, result);
         let mut evicted = 0;
         while lru.len() > self.capacity {
             lru.pop_coldest();
@@ -260,6 +262,12 @@ mod tests {
         assert!(cache.lookup_touch(2).is_none(), "2 was coldest");
         assert!(cache.lookup_touch(1).is_some());
         assert!(cache.lookup_touch(3).is_some());
+        // Re-inserting a held digest evicts nothing, keeps the held
+        // result and touches it, so 3 becomes coldest.
+        assert_eq!(cache.insert(1, Arc::new(result("a2"))), 0);
+        assert_eq!(cache.insert(4, Arc::new(result("d"))), 1);
+        assert!(cache.lookup_touch(3).is_none(), "3 was coldest");
+        assert_eq!(cache.lookup_touch(1).expect("1 held").payload, "a");
     }
 
     #[test]
@@ -286,9 +294,9 @@ mod tests {
             }
         }
         assert_eq!(cache.len(), 4);
-        // 199 was inserted last; 198 touched at i=198? No: touches hit
-        // multiples-of-3 offsets. Just assert the hottest entries are
-        // present and eviction count is consistent.
+        // 200 distinct digests through 4 slots: every insert past the
+        // fourth evicts one entry. The last insert (199) is hottest and
+        // survives; digest 0 was evicted long ago.
         assert!(cache.lookup_touch(199).is_some());
         assert!(cache.lookup_touch(0).is_none());
         assert_eq!(evicted, 196);

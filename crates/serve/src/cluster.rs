@@ -36,7 +36,9 @@
 //!   order) and is additionally invariant under **shard count** and L2
 //!   interleaving: the semester digest.
 
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 use crate::cache::ResultCache;
@@ -45,7 +47,7 @@ use crate::result::JobResult;
 use crate::sched::{self, Submission};
 use crate::spec::SpecError;
 use crate::workload::{self, Arrival, JobUniverse, SemesterConfig};
-use obs::trace::fnv1a;
+use obs::trace::{fnv1a, Fnv1a};
 
 // ---------------------------------------------------------------
 // Consistent-hash ring
@@ -76,6 +78,61 @@ fn spread(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// A `HashMap` keyed by an integer (a digest, a tenant, an address),
+/// hashed by [`KeySeed`] instead of SipHash.
+pub(crate) type KeyMap<K, V> = HashMap<K, V, KeySeed>;
+
+/// Builds [`KeyHasher`]s that XOR each integer key into a seed drawn
+/// per map from [`RandomState`] (as `HashMap::new()` seeds SipHash),
+/// then [`spread`] it. Without the seed, a tenant who chooses specs
+/// could aim their digests at one bucket. No output reads these maps'
+/// iteration order, so the seed reaches no digest.
+#[derive(Clone)]
+pub(crate) struct KeySeed(u64);
+
+impl Default for KeySeed {
+    fn default() -> Self {
+        KeySeed(RandomState::new().build_hasher().finish())
+    }
+}
+
+impl BuildHasher for KeySeed {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher(self.0)
+    }
+}
+
+/// The hasher [`KeySeed`] builds: one `spread` per integer written.
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    /// Integer keys take the `write_*` methods below; this covers any
+    /// other key, a byte at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = spread(self.0 ^ n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl HashRing {
@@ -278,7 +335,7 @@ impl ClusterStats {
         self.l2_evictions += other.l2_evictions;
     }
 
-    fn encode_into(&self, bytes: &mut Vec<u8>) {
+    fn encode_into(&self, h: &mut Fnv1a) {
         for v in [
             self.submitted,
             self.accepted,
@@ -293,7 +350,7 @@ impl ClusterStats {
             self.l1_evictions,
             self.l2_evictions,
         ] {
-            bytes.extend(v.to_le_bytes());
+            h.write(&v.to_le_bytes());
         }
     }
 }
@@ -378,36 +435,51 @@ pub struct DayReport {
     pub per_shard: Vec<ShardDayStats>,
 }
 
+/// `JobResult::digest` memoised by allocation within one report
+/// digest: cache hits and joins share the leader's `Arc`, so a day's
+/// outcomes hold far fewer distinct results than arrivals. The report
+/// keeps every result alive, so no address is reused while the memo
+/// exists.
+#[derive(Default)]
+struct ResultDigests(KeyMap<*const JobResult, u64>);
+
+impl ResultDigests {
+    fn of(&mut self, result: &Arc<JobResult>) -> u64 {
+        *self
+            .0
+            .entry(Arc::as_ptr(result))
+            .or_insert_with(|| result.digest())
+    }
+}
+
 impl DayReport {
     /// The full digest: dispatch order, sources, shard assignments,
     /// virtual times, stats. Invariant under worker count for a fixed
     /// shard count.
     pub fn digest(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(16 + self.outcomes.len() * 40);
-        bytes.extend(b"pbl-cluster-day/v1");
+        let mut h = Fnv1a::new();
+        h.write(b"pbl-cluster-day/v1");
         for &(shard, index) in &self.dispatch {
-            bytes.extend(shard.to_le_bytes());
-            bytes.extend((index as u64).to_le_bytes());
+            h.write(&shard.to_le_bytes());
+            h.write(&(index as u64).to_le_bytes());
         }
+        let mut results = ResultDigests::default();
         for outcome in &self.outcomes {
             match outcome {
                 ClusterOutcome::Done(done) => {
-                    bytes.push(0);
-                    bytes.extend(done.result.digest().to_le_bytes());
-                    bytes.push(done.source.tag());
-                    bytes.extend(done.shard.to_le_bytes());
-                    bytes.extend(done.arrival_vt.to_le_bytes());
-                    bytes.extend(done.start_vt.to_le_bytes());
-                    bytes.extend(done.finish_vt.to_le_bytes());
+                    h.write(&[0]);
+                    h.write(&results.of(&done.result).to_le_bytes());
+                    h.write(&[done.source.tag()]);
+                    h.write(&done.shard.to_le_bytes());
+                    h.write(&done.arrival_vt.to_le_bytes());
+                    h.write(&done.start_vt.to_le_bytes());
+                    h.write(&done.finish_vt.to_le_bytes());
                 }
-                ClusterOutcome::Rejected(reason) => {
-                    bytes.push(1);
-                    bytes.push(reason.tag());
-                }
+                ClusterOutcome::Rejected(reason) => h.write(&[1, reason.tag()]),
             }
         }
-        self.stats.encode_into(&mut bytes);
-        fnv1a(&bytes)
+        self.stats.encode_into(&mut h);
+        h.finish()
     }
 
     /// The semantic digest: what each submitter observed, in arrival
@@ -415,21 +487,19 @@ impl DayReport {
     /// shard count, worker count, and L2 interleaving; this is the
     /// semester digest's per-day ingredient.
     pub fn semantic_digest(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(16 + self.outcomes.len() * 9);
-        bytes.extend(b"pbl-cluster-sem/v1");
+        let mut h = Fnv1a::new();
+        h.write(b"pbl-cluster-sem/v1");
+        let mut results = ResultDigests::default();
         for outcome in &self.outcomes {
             match outcome {
                 ClusterOutcome::Done(done) => {
-                    bytes.push(0);
-                    bytes.extend(done.result.digest().to_le_bytes());
+                    h.write(&[0]);
+                    h.write(&results.of(&done.result).to_le_bytes());
                 }
-                ClusterOutcome::Rejected(reason) => {
-                    bytes.push(1);
-                    bytes.push(reason.tag());
-                }
+                ClusterOutcome::Rejected(reason) => h.write(&[1, reason.tag()]),
             }
         }
-        fnv1a(&bytes)
+        h.finish()
     }
 
     /// Virtual sojourns of all served jobs, sorted ascending.
@@ -520,6 +590,15 @@ impl DayReport {
 // The cluster
 // ---------------------------------------------------------------
 
+/// The routing key of a tenant's spec digest: FNV-1a of the tenant's
+/// and the digest's little-endian bytes.
+fn tenant_route_key(tenant: u32, digest: u64) -> u64 {
+    let mut key = [0u8; 12];
+    key[..4].copy_from_slice(&tenant.to_le_bytes());
+    key[4..].copy_from_slice(&digest.to_le_bytes());
+    fnv1a(&key)
+}
+
 /// How a planned job will be satisfied — decided during resolution,
 /// consumed during fill.
 enum Resolution {
@@ -586,10 +665,7 @@ impl Cluster {
     /// the same exercise from different tenants spreads — the spread
     /// the shared L2 and cross-shard single-flight exist to dedup.
     pub fn route_key(sub: &Submission) -> u64 {
-        let mut bytes = Vec::with_capacity(12);
-        bytes.extend(sub.tenant.to_le_bytes());
-        bytes.extend(sub.spec.digest().to_le_bytes());
-        fnv1a(&bytes)
+        tenant_route_key(sub.tenant, sub.spec.digest())
     }
 
     /// Serves one day of open-loop arrivals.
@@ -600,7 +676,8 @@ impl Cluster {
     /// execute pool → fills and outcome assembly, again in
     /// `(shard, dispatch)` order. Admission and routing never look at
     /// shard state, so the accepted set — and the semantic digest — is
-    /// shard-count invariant.
+    /// shard-count invariant. Admission digests each admitted spec
+    /// once; every later phase reads that digest.
     pub fn run_day(&self, arrivals: &[Arrival]) -> DayReport {
         let shards = self.config.shards as usize;
         let mut stats = ClusterStats {
@@ -609,10 +686,13 @@ impl Cluster {
         };
 
         // Phase 1: admission, in arrival order (cluster-wide policy —
-        // independent of sharding by construction).
+        // independent of sharding by construction). An admitted spec's
+        // digest is kept by arrival index; rejected specs are never
+        // digested.
         let mut outcomes: Vec<Option<ClusterOutcome>> = vec![None; arrivals.len()];
+        let mut digests: Vec<u64> = vec![0; arrivals.len()];
         let mut admitted: Vec<usize> = Vec::with_capacity(arrivals.len());
-        let mut per_tenant: HashMap<u32, usize> = HashMap::new();
+        let mut per_tenant: KeyMap<u32, usize> = KeyMap::default();
         for (index, arrival) in arrivals.iter().enumerate() {
             if admitted.len() >= self.config.queue_capacity {
                 outcomes[index] = Some(ClusterOutcome::Rejected(RejectReason::QueueFull));
@@ -631,6 +711,7 @@ impl Cluster {
                 continue;
             }
             *tenant_count += 1;
+            digests[index] = arrival.sub.spec.digest();
             admitted.push(index);
         }
         stats.accepted = admitted.len() as u64;
@@ -639,7 +720,8 @@ impl Cluster {
         let mut inbox: Vec<Vec<(usize, &Submission, u64)>> = vec![Vec::new(); shards];
         for &index in &admitted {
             let arrival = &arrivals[index];
-            let shard = self.ring.route(Self::route_key(&arrival.sub));
+            let key = tenant_route_key(arrival.sub.tenant, digests[index]);
+            let shard = self.ring.route(key);
             inbox[shard as usize].push((index, &arrival.sub, arrival.vt));
         }
 
@@ -651,17 +733,21 @@ impl Cluster {
         let mut resolutions: Vec<Vec<Option<Resolution>>> = Vec::with_capacity(shards);
         for (shard, input) in inbox.iter().enumerate() {
             let plan = sched::plan_arrivals(input);
-            let mut local_leader: HashMap<u64, usize> = HashMap::new();
+            let mut local_leader: KeyMap<u64, usize> = KeyMap::default();
             let mut resolved: Vec<Option<Resolution>> = Vec::with_capacity(plan.len());
             for (pos, row) in plan.iter().enumerate() {
-                if let Some(result) = self.l1[shard].lookup_touch(row.digest) {
+                let digest = digests[row.submission];
+                if let Some(result) = self.l1[shard].lookup_touch(digest) {
                     resolved.push(Some(Resolution::L1Hit(result)));
                 } else if self.config.single_flight {
-                    if let Some(&leader) = local_leader.get(&row.digest) {
-                        resolved.push(Some(Resolution::LocalJoin(leader)));
-                    } else {
-                        local_leader.insert(row.digest, pos);
-                        resolved.push(None); // goes to L2 in phase 4
+                    match local_leader.entry(digest) {
+                        Entry::Occupied(leader) => {
+                            resolved.push(Some(Resolution::LocalJoin(*leader.get())));
+                        }
+                        Entry::Vacant(slot) => {
+                            slot.insert(pos);
+                            resolved.push(None); // goes to L2 in phase 4
+                        }
                     }
                 } else {
                     resolved.push(None);
@@ -674,7 +760,7 @@ impl Cluster {
         // Phase 4: L2 resolution and single-flight claims, serialized
         // in (shard, dispatch) order — the one place cross-shard state
         // is touched, so its interleaving is fixed by construction.
-        let mut cross_leader: HashMap<u64, (u32, usize)> = HashMap::new();
+        let mut cross_leader: KeyMap<u64, (u32, usize)> = KeyMap::default();
         let mut to_compute: Vec<usize> = Vec::new(); // indices into `arrivals`
         for shard in 0..shards {
             for pos in 0..plans[shard].len() {
@@ -682,16 +768,21 @@ impl Cluster {
                     continue;
                 }
                 let row = &plans[shard][pos];
-                let resolution = if let Some(result) = self.l2.lookup_touch(row.digest) {
+                let digest = digests[row.submission];
+                let resolution = if let Some(result) = self.l2.lookup_touch(digest) {
                     Resolution::L2Hit(result)
                 } else if self.config.single_flight {
-                    if let Some(&(ls, lp)) = cross_leader.get(&row.digest) {
-                        Resolution::CrossJoin(ls, lp)
-                    } else {
-                        cross_leader.insert(row.digest, (shard as u32, pos));
-                        let slot = to_compute.len();
-                        to_compute.push(row.submission);
-                        Resolution::Compute(slot)
+                    match cross_leader.entry(digest) {
+                        Entry::Occupied(leader) => {
+                            let (ls, lp) = *leader.get();
+                            Resolution::CrossJoin(ls, lp)
+                        }
+                        Entry::Vacant(claim) => {
+                            claim.insert((shard as u32, pos));
+                            let slot = to_compute.len();
+                            to_compute.push(row.submission);
+                            Resolution::Compute(slot)
+                        }
                     }
                 } else {
                     let slot = to_compute.len();
@@ -720,13 +811,14 @@ impl Cluster {
         for shard in 0..shards {
             for pos in 0..plans[shard].len() {
                 let row = &plans[shard][pos];
+                let digest = digests[row.submission];
                 let (result, source) = match resolutions[shard][pos]
                     .take()
                     .expect("resolved in phase 3/4")
                 {
                     Resolution::L1Hit(result) => (result, ClusterSource::L1Hit),
                     Resolution::L2Hit(result) => {
-                        stats.l1_evictions += self.l1[shard].insert(row.digest, result.clone());
+                        stats.l1_evictions += self.l1[shard].insert(digest, result.clone());
                         (result, ClusterSource::L2Hit)
                     }
                     Resolution::LocalJoin(leader) => {
@@ -737,13 +829,13 @@ impl Cluster {
                         let result = filled[ls as usize][lp]
                             .clone()
                             .expect("leader shard fills first");
-                        stats.l1_evictions += self.l1[shard].insert(row.digest, result.clone());
+                        stats.l1_evictions += self.l1[shard].insert(digest, result.clone());
                         (result, ClusterSource::CrossJoin)
                     }
                     Resolution::Compute(slot) => {
                         let result = computed[slot].clone();
-                        stats.l2_evictions += self.l2.insert(row.digest, result.clone());
-                        stats.l1_evictions += self.l1[shard].insert(row.digest, result.clone());
+                        stats.l2_evictions += self.l2.insert(digest, result.clone());
+                        stats.l1_evictions += self.l1[shard].insert(digest, result.clone());
                         (result, ClusterSource::Computed)
                     }
                 };
@@ -1015,6 +1107,14 @@ mod tests {
         let small_points: std::collections::HashSet<(u64, u32)> =
             small.points.iter().copied().collect();
         assert!(small_points.iter().all(|p| large.points.contains(p)));
+    }
+
+    #[test]
+    fn key_hasher_is_seeded_per_map() {
+        let (a, b) = (KeySeed::default(), KeySeed::default());
+        let key = 0x0123_4567_89ab_cdefu64;
+        assert_eq!(a.hash_one(key), a.hash_one(key));
+        assert_ne!(a.hash_one(key), b.hash_one(key));
     }
 
     #[test]

@@ -16,15 +16,15 @@ pub struct JobResult {
 
 impl JobResult {
     /// FNV-1a digest over both serialized fields, length-prefixed so
-    /// the field boundary is unambiguous. The per-job leaf of the
-    /// cluster's day digests.
+    /// the field boundary is unambiguous, streamed without copying
+    /// them. The per-job leaf of the cluster's day digests.
     pub fn digest(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(8 + self.payload.len() + 8 + self.metrics_json.len());
-        bytes.extend((self.payload.len() as u64).to_le_bytes());
-        bytes.extend(self.payload.as_bytes());
-        bytes.extend((self.metrics_json.len() as u64).to_le_bytes());
-        bytes.extend(self.metrics_json.as_bytes());
-        obs::trace::fnv1a(&bytes)
+        let mut h = obs::trace::Fnv1a::new();
+        for field in [&self.payload, &self.metrics_json] {
+            h.write(&(field.len() as u64).to_le_bytes());
+            h.write(field.as_bytes());
+        }
+        h.finish()
     }
 }
 

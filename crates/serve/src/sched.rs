@@ -12,10 +12,15 @@
 //! scaled down by the tenant's tickets (more tickets → shorter spans →
 //! more frequent dispatch). A job starts at the later of its tenant's
 //! clock and its arrival, finishes `span` later, and advances the
-//! clock; dispatch order is the stable sort by
-//! `(finish_vt, tenant, submission index)` — total, so the order (and
-//! every digest downstream of it) is unambiguous.
+//! clock; dispatch order is the sort by the key
+//! `(finish_vt, tenant, submission index)`. The key is total (the
+//! submission index is unique), so any sort gives one order, and every
+//! digest downstream of it is unambiguous.
+//!
+//! The plan computes times only. The cluster digests each spec once at
+//! admission and looks a row's digest up by its submission index.
 
+use crate::cluster::KeyMap;
 use crate::spec::JobSpec;
 
 /// One admitted submission, as the scheduler sees it.
@@ -40,15 +45,15 @@ impl Submission {
     }
 }
 
-/// A scheduled job: the WFQ plan's row for one admitted arrival.
+/// A scheduled job: the WFQ plan's row for one admitted arrival. It
+/// holds the row's times, not its spec digest: the caller keys that
+/// by [`submission`](Planned::submission).
 #[derive(Debug, Clone)]
 pub struct Planned {
     /// The arrival's index in the day (the caller's own index).
     pub submission: usize,
     /// Submitting tenant.
     pub tenant: u32,
-    /// The spec's content digest (cache key).
-    pub digest: u64,
     /// Virtual time the job arrived.
     pub arrival_vt: u64,
     /// Virtual time the job starts on its tenant's clock.
@@ -73,9 +78,7 @@ const VT_SCALE: u64 = 1_000;
 /// sojourns. The course week arrives all at once, at vt 0, so its
 /// sojourns are the finish times.
 pub fn plan_arrivals(accepted: &[(usize, &Submission, u64)]) -> Vec<Planned> {
-    use std::collections::HashMap;
-
-    let mut clocks: HashMap<u32, u64> = HashMap::new();
+    let mut clocks: KeyMap<u32, u64> = KeyMap::default();
     let mut rows: Vec<Planned> = Vec::with_capacity(accepted.len());
     for (index, sub, arrival_vt) in accepted {
         let tickets = sub.tickets.max(1) as u64;
@@ -88,16 +91,16 @@ pub fn plan_arrivals(accepted: &[(usize, &Submission, u64)]) -> Vec<Planned> {
         rows.push(Planned {
             submission: *index,
             tenant: sub.tenant,
-            digest: sub.spec.digest(),
             arrival_vt: *arrival_vt,
             start_vt,
             finish_vt,
         });
     }
     // Total order: finish_vt, then tenant, then submission index. The
-    // last key is unique per row, so the sort is deterministic even
-    // between tenants with identical clocks and costs.
-    rows.sort_by_key(|p| (p.finish_vt, p.tenant, p.submission));
+    // last key is unique per row, so no two rows compare equal and the
+    // unstable sort is as deterministic as a stable one, even between
+    // tenants with identical clocks and costs.
+    rows.sort_unstable_by_key(|p| (p.finish_vt, p.tenant, p.submission));
     rows
 }
 
@@ -168,13 +171,13 @@ mod tests {
 
     #[test]
     fn tie_break_is_total_and_stable() {
-        // Identical tenants-with-identical-costs tie on finish_vt;
-        // submission index must break the tie deterministically.
+        // Two tenants with identical costs tie on finish_vt; the
+        // tenant id breaks the tie before the submission index does.
         let a = Submission::new(0, 1, loop_spec(1_000));
         let b = Submission::new(1, 1, loop_spec(1_000));
-        let rows = plan_at_zero(&[(5, &b), (2, &a)]);
+        let rows = plan_at_zero(&[(2, &b), (5, &a)]);
         assert_eq!(rows[0].tenant, 0, "tenant id breaks the finish tie");
-        assert_eq!(rows[0].submission, 2);
+        assert_eq!(rows[0].submission, 5);
     }
 
     #[test]

@@ -7,10 +7,31 @@
 //! the FNV-1a [`digest`](JobSpec::digest) of the encoding is the job's
 //! content address: two specs differing in any field encode (and hash)
 //! differently, and two textually independent submissions of the same
-//! work collapse onto one cache entry.
+//! work collapse onto one cache entry. One encoder writes the encoding
+//! to a sink: `canonical_bytes` collects it, and `digest` streams it
+//! through FNV-1a without allocating.
 
+use obs::trace::Fnv1a;
 use parallel_rt::sim::{CostModel, ReductionStyle, SimOptions};
 use parallel_rt::Schedule;
+
+/// Where the canonical encoding goes: a `Vec` collects it, an
+/// [`Fnv1a`] state hashes it.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl Sink for Fnv1a {
+    fn put(&mut self, bytes: &[u8]) {
+        self.write(bytes);
+    }
+}
 
 /// Per-iteration cost model of a simulated loop, as submitted data.
 /// Mirrors [`parallel_rt::sim::CostModel`] with explicit integer
@@ -48,24 +69,15 @@ impl CostSpec {
         }
     }
 
-    fn encode_into(self, out: &mut Vec<u8>) {
-        match self {
-            CostSpec::Uniform { cycles } => {
-                out.push(0);
-                out.extend(cycles.to_le_bytes());
-                out.extend(0u64.to_le_bytes());
-            }
-            CostSpec::Linear { base, slope } => {
-                out.push(1);
-                out.extend(base.to_le_bytes());
-                out.extend(slope.to_le_bytes());
-            }
-            CostSpec::Alternating { even, odd } => {
-                out.push(2);
-                out.extend(even.to_le_bytes());
-                out.extend(odd.to_le_bytes());
-            }
-        }
+    fn encode_into(self, out: &mut impl Sink) {
+        let (tag, a, b) = match self {
+            CostSpec::Uniform { cycles } => (0, cycles, 0),
+            CostSpec::Linear { base, slope } => (1, base, slope),
+            CostSpec::Alternating { even, odd } => (2, even, odd),
+        };
+        out.put(&[tag]);
+        out.put(&a.to_le_bytes());
+        out.put(&b.to_le_bytes());
     }
 }
 
@@ -103,25 +115,15 @@ impl ScheduleSpec {
         }
     }
 
-    fn encode_into(self, out: &mut Vec<u8>) {
-        match self {
-            ScheduleSpec::StaticBlock => {
-                out.push(0);
-                out.extend(0u32.to_le_bytes());
-            }
-            ScheduleSpec::StaticChunk { chunk } => {
-                out.push(1);
-                out.extend(chunk.to_le_bytes());
-            }
-            ScheduleSpec::Dynamic { chunk } => {
-                out.push(2);
-                out.extend(chunk.to_le_bytes());
-            }
-            ScheduleSpec::Guided { min_chunk } => {
-                out.push(3);
-                out.extend(min_chunk.to_le_bytes());
-            }
-        }
+    fn encode_into(self, out: &mut impl Sink) {
+        let tag = match self {
+            ScheduleSpec::StaticBlock => 0,
+            ScheduleSpec::StaticChunk { .. } => 1,
+            ScheduleSpec::Dynamic { .. } => 2,
+            ScheduleSpec::Guided { .. } => 3,
+        };
+        out.put(&[tag]);
+        out.put(&self.chunk_param().to_le_bytes());
     }
 
     fn chunk_param(self) -> u32 {
@@ -179,21 +181,14 @@ pub enum MrWorkload {
 }
 
 impl MrWorkload {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            MrWorkload::WordCount => {
-                out.push(0);
-                encode_str(out, "");
-            }
-            MrWorkload::InvertedIndex => {
-                out.push(1);
-                encode_str(out, "");
-            }
-            MrWorkload::Grep { pattern } => {
-                out.push(2);
-                encode_str(out, pattern);
-            }
-        }
+    fn encode_into(&self, out: &mut impl Sink) {
+        let (tag, pattern) = match self {
+            MrWorkload::WordCount => (0, ""),
+            MrWorkload::InvertedIndex => (1, ""),
+            MrWorkload::Grep { pattern } => (2, pattern.as_str()),
+        };
+        out.put(&[tag]);
+        encode_str(out, pattern);
     }
 }
 
@@ -297,18 +292,34 @@ pub enum JobSpec {
     },
 }
 
-fn encode_str(out: &mut Vec<u8>, s: &str) {
-    out.extend((s.len() as u32).to_le_bytes());
-    out.extend(s.as_bytes());
+fn encode_str(out: &mut impl Sink, s: &str) {
+    out.put(&(s.len() as u32).to_le_bytes());
+    out.put(s.as_bytes());
 }
 
 impl JobSpec {
     /// The canonical byte encoding: variant tag, then fixed-width
     /// little-endian fields in declaration order, strings
-    /// length-prefixed. Injective over the whole spec space.
+    /// length-prefixed. Injective over the whole spec space. These are
+    /// the bytes [`digest`](JobSpec::digest) hashes, collected.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        out.extend(*b"pbl-serve/v1");
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// The job's content address: FNV-1a of the canonical encoding,
+    /// streamed through the hash as it is encoded, so it allocates
+    /// nothing. The cluster computes it once per admitted submission.
+    pub fn digest(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        self.encode_into(&mut h);
+        h.finish()
+    }
+
+    /// Writes the canonical encoding to `out`.
+    fn encode_into(&self, out: &mut impl Sink) {
+        out.put(b"pbl-serve/v1");
         match self {
             JobSpec::LoopSim {
                 iterations,
@@ -316,11 +327,11 @@ impl JobSpec {
                 schedule,
                 threads,
             } => {
-                out.push(0);
-                out.extend(iterations.to_le_bytes());
-                cost.encode_into(&mut out);
-                schedule.encode_into(&mut out);
-                out.extend(threads.to_le_bytes());
+                out.put(&[0]);
+                out.put(&iterations.to_le_bytes());
+                cost.encode_into(out);
+                schedule.encode_into(out);
+                out.put(&threads.to_le_bytes());
             }
             JobSpec::ReductionSim {
                 iterations,
@@ -328,11 +339,11 @@ impl JobSpec {
                 threads,
                 style,
             } => {
-                out.push(1);
-                out.extend(iterations.to_le_bytes());
-                out.extend(iter_cost.to_le_bytes());
-                out.extend(threads.to_le_bytes());
-                out.push(style.tag());
+                out.put(&[1]);
+                out.put(&iterations.to_le_bytes());
+                out.put(&iter_cost.to_le_bytes());
+                out.put(&threads.to_le_bytes());
+                out.put(&[style.tag()]);
             }
             JobSpec::MapReduce {
                 workload,
@@ -341,12 +352,12 @@ impl JobSpec {
                 map_workers,
                 reduce_workers,
             } => {
-                out.push(2);
-                workload.encode_into(&mut out);
-                out.extend(docs.to_le_bytes());
-                out.extend(seed.to_le_bytes());
-                out.extend(map_workers.to_le_bytes());
-                out.extend(reduce_workers.to_le_bytes());
+                out.put(&[2]);
+                workload.encode_into(out);
+                out.put(&docs.to_le_bytes());
+                out.put(&seed.to_le_bytes());
+                out.put(&map_workers.to_le_bytes());
+                out.put(&reduce_workers.to_le_bytes());
             }
             JobSpec::Replication {
                 replicates,
@@ -356,25 +367,19 @@ impl JobSpec {
                 bootstrap_reps,
                 section_permutations,
             } => {
-                out.push(3);
-                out.extend(replicates.to_le_bytes());
-                out.extend(num_students.to_le_bytes());
-                out.extend(master_seed.to_le_bytes());
-                out.extend(permutations.to_le_bytes());
-                out.extend(bootstrap_reps.to_le_bytes());
-                out.extend(section_permutations.to_le_bytes());
+                out.put(&[3]);
+                out.put(&replicates.to_le_bytes());
+                out.put(&num_students.to_le_bytes());
+                out.put(&master_seed.to_le_bytes());
+                out.put(&permutations.to_le_bytes());
+                out.put(&bootstrap_reps.to_le_bytes());
+                out.put(&section_permutations.to_le_bytes());
             }
             JobSpec::Report { artefact } => {
-                out.push(4);
-                encode_str(&mut out, artefact);
+                out.put(&[4]);
+                encode_str(out, artefact);
             }
         }
-        out
-    }
-
-    /// The job's content address: FNV-1a of the canonical encoding.
-    pub fn digest(&self) -> u64 {
-        obs::trace::fnv1a(&self.canonical_bytes())
     }
 
     /// Checks the spec is executable before it enters the queue.

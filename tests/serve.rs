@@ -5,6 +5,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use obs::trace::fnv1a;
 use proptest::prelude::*;
 use serve::cluster::{self, Cluster, ClusterConfig, HashRing};
 use serve::workload::{course_week, Arrival, SemesterConfig};
@@ -183,6 +184,8 @@ proptest! {
         b in (1u64..1_000_000, 0u8..3, 1u64..10_000, 0u64..10_000, 0u8..4, 1u32..512, 1u32..64),
     ) {
         let (sa, sb) = (loop_spec(a), loop_spec(b));
+        prop_assert_eq!(sa.digest(), fnv1a(&sa.canonical_bytes()));
+        prop_assert_eq!(sb.digest(), fnv1a(&sb.canonical_bytes()));
         if sa == sb {
             prop_assert_eq!(sa.canonical_bytes(), sb.canonical_bytes());
             prop_assert_eq!(sa.digest(), sb.digest());
@@ -201,6 +204,9 @@ proptest! {
         y in (0u8..4, 0u64..1_000_000, 0u64..1_000_000, 1u32..512, 1u32..512),
     ) {
         let (sl, sx, sy) = (loop_spec(l), other_spec(x), other_spec(y));
+        for s in [&sl, &sx, &sy] {
+            prop_assert_eq!(s.digest(), fnv1a(&s.canonical_bytes()));
+        }
         prop_assert_ne!(sl.digest(), sx.digest());
         if sx == sy {
             prop_assert_eq!(sx.digest(), sy.digest());
