@@ -84,9 +84,9 @@ fn bench_parallel_rt(c: &mut Criterion) {
 
     // The tentpole scenario: lowering a million-iteration uniform loop.
     // PerIteration builds O(n) ops (the old path, kept as the oracle);
-    // Rle builds O(chunks). Virtual-time results are bit-identical; the
-    // wall-clock gap between the pair is the measured cost of lowering
-    // per iteration.
+    // Rle builds one op per thread. Virtual-time results are
+    // bit-identical; the wall-clock gap between the pair is the
+    // measured cost of lowering per iteration.
     for (label, lowering) in [
         ("per_iteration", Lowering::PerIteration),
         ("rle", Lowering::Rle),
@@ -108,6 +108,34 @@ fn bench_parallel_rt(c: &mut Criterion) {
             },
         );
     }
+
+    // The two shapes the machine skips whole periods of: eight threads
+    // rotating on four cores (the paper's oversubscription question)
+    // and eight threads updating one atomic accumulator.
+    group.bench_function("linear_loop_8_threads_on_4_cores", |b| {
+        let cost = CostModel::Linear { base: 40, slope: 3 };
+        b.iter(|| {
+            simulate_parallel_loop_lowered(
+                16_750,
+                black_box(&cost),
+                Schedule::Dynamic(16),
+                8,
+                &opts,
+                Lowering::Rle,
+            )
+        })
+    });
+    group.bench_function("atomic_reduction_8_threads", |b| {
+        b.iter(|| {
+            simulate_reduction(
+                black_box(4_375),
+                165,
+                8,
+                ReductionStyle::AtomicPerIteration,
+                &opts,
+            )
+        })
+    });
 
     group.finish();
 }

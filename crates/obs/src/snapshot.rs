@@ -183,17 +183,25 @@ impl MetricsSnapshot {
     /// served job's result carries, so every exported snapshot holds
     /// its own determinism fingerprint.
     pub fn to_json_with_digest(&self) -> String {
-        let digest = format!("  \"digest\": \"0x{:016x}\",\n", self.digest());
-        let json = self.to_json();
-        let Some(schema_end) = json.find(",\n") else {
-            return json;
-        };
-        let mut out = String::with_capacity(json.len() + digest.len());
-        out.push_str(&json[..schema_end + 2]);
-        out.push_str(&digest);
-        out.push_str(&json[schema_end + 2..]);
-        out
+        with_digest_line(self.to_json())
     }
+}
+
+/// Inserts the `"digest"` line, the FNV-1a of `json`, after the schema
+/// header (the document's first `,\n`), rendering nothing twice. A
+/// document without that line comes back as it was. The result is
+/// allocated at its exact length, since a served result keeps it.
+pub(crate) fn with_digest_line(json: String) -> String {
+    let Some(schema_end) = json.find(",\n") else {
+        return json;
+    };
+    let digest = crate::trace::fnv1a(json.as_bytes());
+    let digest = format!("  \"digest\": \"0x{digest:016x}\",\n");
+    let mut out = String::with_capacity(json.len() + digest.len());
+    out.push_str(&json[..schema_end + 2]);
+    out.push_str(&digest);
+    out.push_str(&json[schema_end + 2..]);
+    out
 }
 
 #[cfg(test)]

@@ -556,16 +556,7 @@ impl SeriesSet {
     /// [`SeriesSet::to_json`] with a `"digest"` line inserted under the
     /// schema stamp, mirroring the metrics snapshot convention.
     pub fn to_json_with_digest(&self) -> String {
-        let digest = format!("  \"digest\": \"0x{:016x}\",\n", self.digest());
-        let json = self.to_json();
-        let Some(schema_end) = json.find(",\n") else {
-            return json;
-        };
-        let mut out = String::with_capacity(json.len() + digest.len());
-        out.push_str(&json[..schema_end + 2]);
-        out.push_str(&digest);
-        out.push_str(&json[schema_end + 2..]);
-        out
+        crate::snapshot::with_digest_line(self.to_json())
     }
 }
 

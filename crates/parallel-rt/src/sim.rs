@@ -216,14 +216,15 @@ fn greedy_assign(
 pub enum Lowering {
     /// One `Compute` op per loop iteration — the reference lowering.
     /// Program size is O(iterations); exists as the oracle the
-    /// run-length-encoded path is verified against.
+    /// compressed path is verified against.
     PerIteration,
-    /// One run-length-encoded block per chunk: uniform chunks become a
-    /// single `ComputeRepeat`, other cost models a single `Compute` of
-    /// the chunk's closed-form total. Program size is O(chunks)
-    /// regardless of the iteration count, and because compute is
-    /// continuously interruptible the machine's timing is bit-identical
-    /// to [`Lowering::PerIteration`].
+    /// One `Compute` op per thread: the fork overhead plus the
+    /// closed-form cost of every chunk the thread runs, summed with
+    /// saturation as the machine sums a compute run. Program size is
+    /// O(threads) regardless of the iteration and chunk counts, and
+    /// because the machine times a run of compute ops exactly like one
+    /// burst of their sum, the timing is bit-identical to
+    /// [`Lowering::PerIteration`].
     Rle,
 }
 
@@ -236,29 +237,20 @@ pub fn lower_programs(
 ) -> Vec<Program> {
     assignment
         .iter()
-        .map(|chunks| {
-            let mut p = Program::new().compute(fork_overhead);
-            for chunk in chunks {
-                match lowering {
-                    Lowering::PerIteration => {
-                        for i in chunk.clone() {
-                            p = p.compute(cost.cost(i));
-                        }
-                    }
-                    Lowering::Rle => match *cost {
-                        CostModel::Uniform(c) => {
-                            p = p.compute_repeat(c, chunk.len() as u64);
-                        }
-                        _ => {
-                            let total = cost.chunk_cost(chunk);
-                            if total > 0 {
-                                p = p.compute(total);
-                            }
-                        }
-                    },
+        .map(|chunks| match lowering {
+            Lowering::PerIteration => {
+                let mut p = Program::new().compute(fork_overhead);
+                for i in chunks.iter().flat_map(|chunk| chunk.clone()) {
+                    p = p.compute(cost.cost(i));
                 }
+                p
             }
-            p
+            Lowering::Rle => {
+                let total = chunks.iter().fold(fork_overhead, |sum, chunk| {
+                    sum.saturating_add(cost.chunk_cost(chunk))
+                });
+                Program::new().compute(total)
+            }
         })
         .collect()
 }
@@ -279,7 +271,7 @@ fn plan_and_lower(
 }
 
 /// Simulates the loop run by `threads` software threads on the
-/// configured machine, using the O(chunks) run-length-encoded lowering.
+/// configured machine, using the O(threads) [`Lowering::Rle`].
 pub fn simulate_parallel_loop(
     iterations: usize,
     cost: &CostModel,
@@ -476,9 +468,7 @@ fn reduction_programs(
                     }
                 }
                 ReductionStyle::AtomicPerIteration => {
-                    for _ in 0..my_iters {
-                        p = p.compute(iter_cost).atomic_rmw(acc_addr);
-                    }
+                    p = p.atomic_rmw_repeat(acc_addr, iter_cost, my_iters as u64);
                 }
             }
             p
@@ -614,16 +604,21 @@ mod tests {
     }
 
     #[test]
-    fn rle_lowering_builds_o_chunks_programs() {
-        let cost = CostModel::Uniform(250);
-        let assignment = plan_assignment(1_000_000, &cost, Schedule::StaticChunk(1_000), 4);
-        let programs = lower_programs(&assignment, &cost, 20_000, Lowering::Rle);
-        for (p, chunks) in programs.iter().zip(&assignment) {
-            // Fork overhead + one RLE block per chunk.
-            assert_eq!(p.len(), 1 + chunks.len());
+    fn rle_lowering_builds_one_op_per_thread() {
+        let cost = CostModel::Linear {
+            base: 250,
+            slope: 3,
+        };
+        let assignment = plan_assignment(100_000, &cost, Schedule::Dynamic(1_000), 4);
+        let rle = lower_programs(&assignment, &cost, 20_000, Lowering::Rle);
+        let unit = lower_programs(&assignment, &cost, 20_000, Lowering::PerIteration);
+        for ((p, oracle), chunks) in rle.iter().zip(&unit).zip(&assignment) {
+            assert!(chunks.len() > 1, "several chunks per thread");
+            assert_eq!(p.len(), 1, "one compute op, whatever the chunk count");
+            assert_eq!(p.compute_cycles(), oracle.compute_cycles());
         }
-        let total_units: u64 = programs.iter().map(|p| p.unit_len()).sum();
-        assert_eq!(total_units, 1_000_000 + 4, "all iterations represented");
+        let total: Cycles = rle.iter().map(Program::compute_cycles).sum();
+        assert_eq!(total, 4 * 20_000 + cost.total(100_000));
     }
 
     #[test]

@@ -63,6 +63,21 @@ pub enum Op {
         /// Number of writes.
         count: u64,
     },
+    /// Run-length-encoded compute-then-atomic pairs: `count` times a
+    /// `cost`-cycle [`Op::Compute`] followed by an [`Op::AtomicRmw`] on
+    /// `addr`, the body of a reduction that updates one shared
+    /// accumulator per iteration. Like [`Op::ReadStride`] it compresses
+    /// only the representation: the machine steps it in half-steps (a
+    /// burst, then an RMW charged through the cache hierarchy), so it
+    /// times exactly like its expansion.
+    AtomicRmwRepeat {
+        /// Address every RMW updates.
+        addr: u64,
+        /// Compute cycles before each RMW.
+        cost: Cycles,
+        /// Number of compute-then-RMW pairs.
+        count: u64,
+    },
 }
 
 impl Op {
@@ -72,11 +87,14 @@ impl Op {
             Op::ComputeRepeat { count, .. }
             | Op::ReadStride { count, .. }
             | Op::WriteStride { count, .. } => count,
+            Op::AtomicRmwRepeat { count, .. } => 2 * count,
             _ => 1,
         }
     }
 
     /// Cycles of a `Compute`/`ComputeRepeat` op; `None` for any other op.
+    /// An [`Op::AtomicRmwRepeat`] is `None` too, so a compute run ends
+    /// at it.
     pub(crate) fn compute_cycles(&self) -> Option<Cycles> {
         match *self {
             Op::Compute(c) => Some(c),
@@ -140,6 +158,14 @@ impl Program {
         self
     }
 
+    /// Builder: append `count` pairs of a `cost`-cycle compute burst and
+    /// an atomic read-modify-write of `addr` as one run-length-encoded
+    /// op.
+    pub fn atomic_rmw_repeat(mut self, addr: u64, cost: Cycles, count: u64) -> Self {
+        self.ops.push(Op::AtomicRmwRepeat { addr, cost, count });
+        self
+    }
+
     /// Builder: append `count` compute bursts of `cost` cycles each as
     /// one run-length-encoded op.
     pub fn compute_repeat(mut self, cost: Cycles, count: u64) -> Self {
@@ -199,7 +225,13 @@ impl Program {
     /// Total compute cycles ignoring memory and synchronisation — a lower
     /// bound on the thread's execution time.
     pub fn compute_cycles(&self) -> Cycles {
-        self.ops.iter().filter_map(Op::compute_cycles).sum()
+        self.ops
+            .iter()
+            .map(|op| match *op {
+                Op::AtomicRmwRepeat { cost, count, .. } => cost * count,
+                op => op.compute_cycles().unwrap_or(0),
+            })
+            .sum()
     }
 
     /// Number of unit operations after notionally expanding every
@@ -240,6 +272,11 @@ impl Program {
                     ops.extend(
                         (0..count).map(|i| Op::Write(base.wrapping_add(i.wrapping_mul(stride)))),
                     );
+                }
+                Op::AtomicRmwRepeat { addr, cost, count } => {
+                    for _ in 0..count {
+                        ops.extend([Op::Compute(cost), Op::AtomicRmw(addr)]);
+                    }
                 }
                 unit => ops.push(unit),
             }
@@ -328,10 +365,11 @@ mod tests {
         let p = Program::new()
             .compute_repeat(250, 1_000_000)
             .read_stride(0x1000, 64, 3)
-            .write_stride(0x2000, 8, 2);
-        assert_eq!(p.len(), 3, "RLE blocks occupy one slot each");
-        assert_eq!(p.unit_len(), 1_000_005);
-        assert_eq!(p.compute_cycles(), 250 * 1_000_000);
+            .write_stride(0x2000, 8, 2)
+            .atomic_rmw_repeat(0x3000, 90, 4_375);
+        assert_eq!(p.len(), 4, "RLE blocks occupy one slot each");
+        assert_eq!(p.unit_len(), 1_000_005 + 2 * 4_375);
+        assert_eq!(p.compute_cycles(), 250 * 1_000_000 + 90 * 4_375);
     }
 
     #[test]
@@ -341,6 +379,7 @@ mod tests {
             .compute_repeat(5, 3)
             .read_stride(100, 10, 2)
             .write_stride(200, 0, 2)
+            .atomic_rmw_repeat(300, 4, 2)
             .barrier(1, 2);
         let e = p.expand();
         assert_eq!(
@@ -354,6 +393,10 @@ mod tests {
                 Op::Read(110),
                 Op::Write(200),
                 Op::Write(200),
+                Op::Compute(4),
+                Op::AtomicRmw(300),
+                Op::Compute(4),
+                Op::AtomicRmw(300),
                 Op::Barrier {
                     id: 1,
                     participants: 2
@@ -366,8 +409,11 @@ mod tests {
 
     #[test]
     fn expand_drops_empty_rle_blocks() {
-        let p = Program::new().compute_repeat(5, 0).read_stride(0, 8, 0);
-        assert_eq!(p.len(), 2);
+        let p = Program::new()
+            .compute_repeat(5, 0)
+            .read_stride(0, 8, 0)
+            .atomic_rmw_repeat(0, 5, 0);
+        assert_eq!(p.len(), 3);
         assert_eq!(p.unit_len(), 0);
         assert!(p.expand().is_empty());
     }

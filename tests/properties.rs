@@ -11,7 +11,7 @@ use parallel_rt::sim::{
     plan_assignment, simulate_parallel_loop_lowered, CostModel, Lowering, SimOptions,
 };
 use parallel_rt::{Schedule, Team};
-use pi_sim::machine::{Machine, RunReport};
+use pi_sim::machine::{Machine, MachineConfig, RunReport};
 use pi_sim::program::Program;
 use stats::descriptive::{mean, quantile};
 use stats::{cohen_d_independent, pearson, t_test_paired, Summary};
@@ -258,9 +258,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole determinism contract: for any cost model, schedule,
-    /// team size, and iteration count, the O(chunks) run-length-encoded
-    /// lowering and the O(n) per-iteration oracle produce bit-identical
-    /// machine reports.
+    /// team size, and iteration count, the O(threads) lowering and the
+    /// O(n) per-iteration oracle produce bit-identical machine reports.
     #[test]
     fn rle_lowering_matches_per_iteration_bit_for_bit(
         iterations in 0usize..2_500,
@@ -290,16 +289,30 @@ proptest! {
         assert_reports_bit_identical(&rle.report, &unit.report)?;
     }
 
-    /// Any RLE program — compute repeats, strided reads/writes, mixed
-    /// with synchronisation — times identically to its unit-op expansion,
-    /// including cache statistics and context switches.
+    /// Any RLE program — compute repeats, strided reads/writes, atomic
+    /// blocks on shared lines, mixed with synchronisation — times
+    /// identically to its unit-op expansion, including cache statistics
+    /// and context switches, with up to eight threads on one to four
+    /// cores and quanta down to 64 cycles.
     #[test]
     fn rle_programs_match_their_expansion(
-        threads in 1usize..6,
+        threads in 1usize..9,
+        cores in 1usize..5,
+        quantum_sel in 0usize..4,
         repeats in prop::collection::vec((1u64..2_000, 0u64..50), 1..5),
         strides in prop::collection::vec((0u64..65_536, 0u64..512, 0u64..40), 0..4),
+        atomics in prop::collection::vec((0usize..3, 0u64..600, 0u64..80), 0..3),
         with_sync in prop::bool::ANY,
     ) {
+        // The first two lines share an L1 set.
+        const ATOMIC_LINES: [u64; 3] = [0x9000_0000, 0x9000_2000, 0x9000_0040];
+        let quantum = [64, 1_000, 12_500, 50_000][quantum_sel];
+        let config = MachineConfig {
+            cores,
+            quantum,
+            context_switch: quantum / 8,
+            ..MachineConfig::pi()
+        };
         let mut block = Program::new();
         for &(cost, count) in &repeats {
             block = block.compute_repeat(cost, count);
@@ -307,13 +320,16 @@ proptest! {
         for &(base, stride, count) in &strides {
             block = block.read_stride(base, stride, count).write_stride(base ^ 0x8000, stride, count / 2);
         }
+        for &(line, cost, count) in &atomics {
+            block = block.atomic_rmw_repeat(ATOMIC_LINES[line], cost, count);
+        }
         if with_sync {
             block = block.barrier(0, threads as u32).lock(1).compute(17).unlock(1);
         }
         let rle: Vec<Program> = (0..threads).map(|_| block.clone()).collect();
         let unit: Vec<Program> = rle.iter().map(Program::expand).collect();
-        let a = Machine::pi().run(rle);
-        let b = Machine::pi().run(unit);
+        let a = Machine::new(config).run(rle);
+        let b = Machine::new(config).run(unit);
         assert_reports_bit_identical(&a, &b)?;
     }
 }
