@@ -1,13 +1,17 @@
 //! The sharded-cluster serving hot paths: consistent-hash ring lookup,
-//! a cold vs cache-warm smoke day through the 4-shard cluster, and a
+//! a cold vs cache-warm smoke day through the 4-shard cluster, a
 //! single-flight day where every tenant submits the identical job so
-//! one dispatch computes and every other one joins it. All inputs are
-//! seeded, so iteration-to-iteration work is bit-identical.
+//! one dispatch computes and every other one joins it, and one
+//! computed job of each engine kind (a served job's whole cost,
+//! metrics JSON included). All inputs are seeded, so
+//! iteration-to-iteration work is bit-identical.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use serve::cluster::{Cluster, ClusterConfig, HashRing};
+use serve::exec::execute;
+use serve::spec::{CostSpec, JobSpec, MrWorkload, ReductionStyleSpec, ScheduleSpec};
 use serve::workload::{semester_day, JobUniverse, SemesterConfig};
 
 fn bench_serve(c: &mut Criterion) {
@@ -66,6 +70,43 @@ fn bench_serve(c: &mut Criterion) {
             black_box(cluster.run_day(black_box(&mono_day)).stats.computed)
         })
     });
+
+    // One computed job per engine, shaped like the semester universe's
+    // specs: an 8-thread dynamic loop on a triangular cost, an 8-thread
+    // per-iteration-atomic reduction, and a 12-document word count.
+    let jobs = [
+        (
+            "execute_loop_dynamic_8_threads",
+            JobSpec::LoopSim {
+                iterations: 9_000,
+                cost: CostSpec::Linear { base: 50, slope: 2 },
+                schedule: ScheduleSpec::Dynamic { chunk: 16 },
+                threads: 8,
+            },
+        ),
+        (
+            "execute_reduction_atomic_8_threads",
+            JobSpec::ReductionSim {
+                iterations: 2_500,
+                iter_cost: 90,
+                threads: 8,
+                style: ReductionStyleSpec::AtomicPerIteration,
+            },
+        ),
+        (
+            "execute_wordcount_12_docs",
+            JobSpec::MapReduce {
+                workload: MrWorkload::WordCount,
+                docs: 12,
+                seed: 2_010,
+                map_workers: 4,
+                reduce_workers: 2,
+            },
+        ),
+    ];
+    for (name, spec) in &jobs {
+        group.bench_function(*name, |b| b.iter(|| execute(black_box(spec))));
+    }
 
     group.finish();
 }

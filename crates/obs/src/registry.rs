@@ -1,6 +1,5 @@
 //! The insertion-ordered metric registry.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::metric::{Counter, Histogram, Span};
@@ -46,9 +45,10 @@ struct Entry {
 struct Inner {
     /// Insertion order is the export order — no ambient state, no
     /// hashing order, so two runs that register in the same sequence
-    /// export in the same sequence.
+    /// export in the same sequence. A registration finds a duplicate
+    /// name by scanning: registries hold tens of metrics, and each
+    /// name is stored once.
     entries: Vec<Entry>,
-    index: HashMap<String, usize>,
 }
 
 /// A deterministic, thread-safe metric registry.
@@ -76,8 +76,8 @@ impl Registry {
         detached: impl FnOnce() -> T,
     ) -> T {
         let mut inner = self.inner.lock().expect("registry lock");
-        if let Some(&i) = inner.index.get(name) {
-            return match reuse(&inner.entries[i].instrument) {
+        if let Some(entry) = inner.entries.iter().find(|e| e.name == name) {
+            return match reuse(&entry.instrument) {
                 // Duplicate name, same kind: hand back the existing
                 // instrument so both call sites feed one metric.
                 Some(existing) => existing,
@@ -89,13 +89,11 @@ impl Registry {
             };
         }
         let (handle, instrument) = make();
-        let at = inner.entries.len();
         inner.entries.push(Entry {
             name: name.to_string(),
             domain,
             instrument,
         });
-        inner.index.insert(name.to_string(), at);
         handle
     }
 

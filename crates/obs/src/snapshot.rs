@@ -60,11 +60,6 @@ pub struct MetricsSnapshot {
     pub metrics: Vec<MetricSample>,
 }
 
-fn json_u64_array(values: &[u64]) -> String {
-    let inner: Vec<String> = values.iter().map(u64::to_string).collect();
-    format!("[{}]", inner.join(", "))
-}
-
 impl MetricsSnapshot {
     /// Schema version of the JSON export; bump on any layout change so
     /// downstream diffs fail loudly instead of silently comparing
@@ -84,15 +79,48 @@ impl MetricsSnapshot {
     ///   ]
     /// }
     /// ```
+    ///
+    /// Names are written as JSON strings, so a `"`, a `\\` or a
+    /// control character in one is escaped.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"pbl-obs/v{}\",", Self::SCHEMA_VERSION);
+        self.render(false)
+    }
+
+    /// Writes the document in one pass into one `String`, with the
+    /// digest line's slot after the schema line when `digested`.
+    fn render(&self, digested: bool) -> String {
+        // Room for every metric at its widest numbers, so the writer
+        // does not regrow; the result is trimmed to its length below.
+        let bound = 64
+            + DIGEST_LINE_LEN
+            + self
+                .metrics
+                .iter()
+                .map(|m| {
+                    let numbers = match &m.data {
+                        MetricData::Counter { .. } => 1,
+                        MetricData::Histogram { edges, counts, .. } => {
+                            4 + edges.len() + counts.len()
+                        }
+                        MetricData::Span { .. } => 2,
+                    };
+                    160 + m.name.len() + 22 * numbers
+                })
+                .sum::<usize>();
+        let mut out = String::with_capacity(bound);
+        out.push_str("{\n  \"schema\": \"pbl-obs/v");
+        push_u64(&mut out, u64::from(Self::SCHEMA_VERSION));
+        out.push_str("\",\n");
+        let slot = digested.then(|| open_digest_slot(&mut out));
         out.push_str("  \"metrics\": [\n");
         for (i, m) in self.metrics.iter().enumerate() {
-            let body = match &m.data {
+            out.push_str("    {\"name\": \"");
+            crate::trace::push_escaped(&mut out, &m.name);
+            out.push_str("\", \"kind\": \"");
+            match &m.data {
                 MetricData::Counter { value } => {
-                    format!("\"kind\": \"counter\", \"domain\": \"{}\", \"value\": {value}", m.domain.label())
+                    push_kind(&mut out, "counter", m.domain);
+                    push_field(&mut out, "value", *value);
                 }
                 MetricData::Histogram {
                     edges,
@@ -101,21 +129,34 @@ impl MetricsSnapshot {
                     sum,
                     min,
                     max,
-                } => format!(
-                    "\"kind\": \"histogram\", \"domain\": \"{}\", \"edges\": {}, \"counts\": {}, \"count\": {count}, \"sum\": {sum}, \"min\": {min}, \"max\": {max}",
-                    m.domain.label(),
-                    json_u64_array(edges),
-                    json_u64_array(counts),
-                ),
-                MetricData::Span { total, entries } => format!(
-                    "\"kind\": \"span\", \"domain\": \"{}\", \"total\": {total}, \"entries\": {entries}",
-                    m.domain.label()
-                ),
-            };
-            let comma = if i + 1 == self.metrics.len() { "" } else { "," };
-            let _ = writeln!(out, "    {{\"name\": \"{}\", {body}}}{comma}", m.name);
+                } => {
+                    push_kind(&mut out, "histogram", m.domain);
+                    out.push_str(", \"edges\": ");
+                    push_u64_array(&mut out, edges);
+                    out.push_str(", \"counts\": ");
+                    push_u64_array(&mut out, counts);
+                    push_field(&mut out, "count", *count);
+                    push_field(&mut out, "sum", *sum);
+                    push_field(&mut out, "min", *min);
+                    push_field(&mut out, "max", *max);
+                }
+                MetricData::Span { total, entries } => {
+                    push_kind(&mut out, "span", m.domain);
+                    push_field(&mut out, "total", *total);
+                    push_field(&mut out, "entries", *entries);
+                }
+            }
+            out.push_str(if i + 1 == self.metrics.len() {
+                "}\n"
+            } else {
+                "},\n"
+            });
         }
         out.push_str("  ]\n}\n");
+        if let Some(slot) = slot {
+            fill_digest_slot(&mut out, slot);
+        }
+        out.shrink_to_fit();
         out
     }
 
@@ -179,29 +220,93 @@ impl MetricsSnapshot {
 
     /// Like [`MetricsSnapshot::to_json`] with one extra field: a
     /// `"digest"` line (the FNV-1a fingerprint of the undecorated
-    /// JSON) inserted after the schema header. This is the form a
-    /// served job's result carries, so every exported snapshot holds
-    /// its own determinism fingerprint.
+    /// JSON, which is [`MetricsSnapshot::digest`]) after the schema
+    /// header. This is the form a served job's result carries, so every
+    /// exported snapshot holds its own determinism fingerprint.
     pub fn to_json_with_digest(&self) -> String {
-        with_digest_line(self.to_json())
+        self.render(true)
     }
 }
 
-/// Inserts the `"digest"` line, the FNV-1a of `json`, after the schema
-/// header (the document's first `,\n`), rendering nothing twice. A
-/// document without that line comes back as it was. The result is
-/// allocated at its exact length, since a served result keeps it.
-pub(crate) fn with_digest_line(json: String) -> String {
-    let Some(schema_end) = json.find(",\n") else {
-        return json;
-    };
-    let digest = crate::trace::fnv1a(json.as_bytes());
-    let digest = format!("  \"digest\": \"0x{digest:016x}\",\n");
-    let mut out = String::with_capacity(json.len() + digest.len());
-    out.push_str(&json[..schema_end + 2]);
-    out.push_str(&digest);
-    out.push_str(&json[schema_end + 2..]);
-    out
+/// Width of a digested document's digest line:
+/// `  "digest": "0x` + 16 hex digits + `",\n`.
+const DIGEST_LINE_LEN: usize = DIGEST_PLACEHOLDER.len();
+
+/// The digest line before its digits are known.
+const DIGEST_PLACEHOLDER: &str = "  \"digest\": \"0x0000000000000000\",\n";
+
+/// Where the 16 hex digits start within the digest line.
+const DIGEST_DIGITS_AT: usize = DIGEST_LINE_LEN - 16 - 3;
+
+/// Appends the digest line's placeholder to `out` and returns its
+/// offset, for [`fill_digest_slot`] once the document is complete.
+pub(crate) fn open_digest_slot(out: &mut String) -> usize {
+    let at = out.len();
+    out.push_str(DIGEST_PLACEHOLDER);
+    at
+}
+
+/// Writes into the slot at `at` the FNV-1a of every byte of `out` but
+/// the slot's own: the digest of the document rendered without the
+/// line. The line has a fixed width, so nothing moves.
+pub(crate) fn fill_digest_slot(out: &mut String, at: usize) {
+    let bytes = out.as_bytes();
+    let mut hash = crate::trace::Fnv1a::new();
+    hash.write(&bytes[..at]);
+    hash.write(&bytes[at + DIGEST_LINE_LEN..]);
+    let digest = hash.finish();
+    let mut hex = [0u8; 16];
+    for (i, digit) in hex.iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(digest >> (60 - 4 * i)) as usize & 0xf];
+    }
+    let digits = at + DIGEST_DIGITS_AT;
+    out.replace_range(
+        digits..digits + 16,
+        std::str::from_utf8(&hex).expect("hex digits are ASCII"),
+    );
+}
+
+/// Appends `value` in decimal.
+fn push_u64(out: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
+/// Appends `[a, b, c]`.
+fn push_u64_array(out: &mut String, values: &[u64]) {
+    out.push('[');
+    for (i, &value) in values.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_u64(out, value);
+    }
+    out.push(']');
+}
+
+/// Appends `, "key": value`.
+fn push_field(out: &mut String, key: &str, value: u64) {
+    out.push_str(", \"");
+    out.push_str(key);
+    out.push_str("\": ");
+    push_u64(out, value);
+}
+
+/// Appends a metric's kind (after its opening quote) and domain.
+fn push_kind(out: &mut String, kind: &str, domain: Domain) {
+    out.push_str(kind);
+    out.push_str("\", \"domain\": \"");
+    out.push_str(domain.label());
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -253,6 +358,24 @@ mod tests {
             .map(|l| format!("{l}\n"))
             .collect();
         assert_eq!(stripped, snap.to_json());
+    }
+
+    #[test]
+    fn names_are_escaped_and_change_the_digest() {
+        let render = |name: &str| {
+            let r = Registry::new();
+            r.counter(name, Domain::Virtual).add(1);
+            r.snapshot()
+        };
+        let odd = render("a\"b\\c\nd");
+        let plain = render("abcd");
+        assert!(odd.to_json().contains(
+            "{\"name\": \"a\\\"b\\\\c\\u000ad\", \"kind\": \"counter\", \"domain\": \"virtual\", \"value\": 1}"
+        ));
+        assert_ne!(odd.digest(), plain.digest());
+        assert!(odd
+            .to_json_with_digest()
+            .contains(&format!("\"digest\": \"0x{:016x}\"", odd.digest())));
     }
 
     #[test]

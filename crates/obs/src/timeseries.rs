@@ -468,10 +468,13 @@ impl SeriesSet {
         }
     }
 
-    fn json_of(&self, filter: impl Fn(&TimeSeries) -> bool) -> String {
+    /// Renders the series `filter` keeps, with the digest line's slot
+    /// after the schema line when `digested`.
+    fn json_of(&self, filter: impl Fn(&TimeSeries) -> bool, digested: bool) -> String {
         let picked: Vec<&TimeSeries> = self.series.values().filter(|s| filter(s)).collect();
         let mut out = String::new();
         out.push_str("{\n  \"schema\": \"pbl-ts/v1\",\n");
+        let slot = digested.then(|| crate::snapshot::open_digest_slot(&mut out));
         out.push_str("  \"series\": [\n");
         for (i, s) in picked.iter().enumerate() {
             let comma = if i + 1 == picked.len() { "" } else { "," };
@@ -526,6 +529,9 @@ impl SeriesSet {
             );
         }
         out.push_str("  ]\n}\n");
+        if let Some(slot) = slot {
+            crate::snapshot::fill_digest_slot(&mut out, slot);
+        }
         out
     }
 
@@ -533,7 +539,7 @@ impl SeriesSet {
     /// series metadata in `(name, shard)` order, then every window
     /// point in `(window, shard, series)` order.
     pub fn to_json(&self) -> String {
-        self.json_of(|_| true)
+        self.json_of(|_| true, false)
     }
 
     /// FNV-1a digest of [`SeriesSet::to_json`] — worker-invariant for
@@ -544,7 +550,7 @@ impl SeriesSet {
 
     /// The `"pbl-ts/v1"` JSON restricted to shard-invariant series.
     pub fn invariant_json(&self) -> String {
-        self.json_of(|s| s.invariant)
+        self.json_of(|s| s.invariant, false)
     }
 
     /// FNV-1a digest of the invariant series alone — **the telemetry
@@ -553,10 +559,11 @@ impl SeriesSet {
         fnv1a(self.invariant_json().as_bytes())
     }
 
-    /// [`SeriesSet::to_json`] with a `"digest"` line inserted under the
-    /// schema stamp, mirroring the metrics snapshot convention.
+    /// [`SeriesSet::to_json`] with a `"digest"` line (its
+    /// [`SeriesSet::digest`]) under the schema stamp, mirroring the
+    /// metrics snapshot convention.
     pub fn to_json_with_digest(&self) -> String {
-        crate::snapshot::with_digest_line(self.to_json())
+        self.json_of(|_| true, true)
     }
 }
 

@@ -438,19 +438,22 @@ impl Trace {
         out.push_str("  \"traceEvents\": [\n");
         let mut lines: Vec<String> = Vec::new();
         for p in &self.processes {
-            lines.push(format!(
-                "{{\"ph\": \"M\", \"pid\": {}, \"tid\": 0, \"name\": \"process_name\", \"args\": {{\"name\": \"{}\"}}}}",
-                p.pid,
-                escape(&p.name)
-            ));
+            let mut line = format!(
+                "{{\"ph\": \"M\", \"pid\": {}, \"tid\": 0, \"name\": \"process_name\", \"args\": {{\"name\": \"",
+                p.pid
+            );
+            push_escaped(&mut line, &p.name);
+            line.push_str("\"}}");
+            lines.push(line);
         }
         for lane in &self.lanes {
-            lines.push(format!(
-                "{{\"ph\": \"M\", \"pid\": {}, \"tid\": {}, \"name\": \"thread_name\", \"args\": {{\"name\": \"{}\"}}}}",
-                lane.pid,
-                lane.id,
-                escape(&lane.name)
-            ));
+            let mut line = format!(
+                "{{\"ph\": \"M\", \"pid\": {}, \"tid\": {}, \"name\": \"thread_name\", \"args\": {{\"name\": \"",
+                lane.pid, lane.id
+            );
+            push_escaped(&mut line, &lane.name);
+            line.push_str("\"}}");
+            lines.push(line);
         }
         let pid_of: Vec<(u32, u32)> = self.lanes.iter().map(|l| (l.id, l.pid)).collect();
         for ev in &self.events {
@@ -466,26 +469,14 @@ impl Trace {
                 ev.lane,
                 ev.time
             );
-            match ev.kind {
-                EventKind::End => {}
-                EventKind::Begin | EventKind::Counter => {
-                    let _ = write!(
-                        line,
-                        ", \"name\": \"{}\", \"cat\": \"{}\", \"args\": {{\"v\": {}}}",
-                        escape(&ev.name),
-                        ev.category,
-                        ev.value
-                    );
+            if ev.kind != EventKind::End {
+                line.push_str(", \"name\": \"");
+                push_escaped(&mut line, &ev.name);
+                let _ = write!(line, "\", \"cat\": \"{}\"", ev.category);
+                if ev.kind == EventKind::Instant {
+                    line.push_str(", \"s\": \"t\"");
                 }
-                EventKind::Instant => {
-                    let _ = write!(
-                        line,
-                        ", \"name\": \"{}\", \"cat\": \"{}\", \"s\": \"t\", \"args\": {{\"v\": {}}}",
-                        escape(&ev.name),
-                        ev.category,
-                        ev.value
-                    );
-                }
+                let _ = write!(line, ", \"args\": {{\"v\": {}}}", ev.value);
             }
             line.push('}');
             lines.push(line);
@@ -551,19 +542,27 @@ impl Default for Fnv1a {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Appends `s` to `out` as the body of a JSON string: `"` and `\\`
+/// are backslash-escaped and control characters written as `\\u00XX`.
+/// Every byte it escapes is ASCII, so the text between two of them is
+/// copied whole.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            control => {
+                let _ = write!(out, "\\u{control:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[at + 1..];
     }
-    out
+    out.push_str(rest);
 }
 
 #[cfg(test)]
@@ -645,6 +644,8 @@ mod tests {
 
     #[test]
     fn escape_handles_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
+        let mut out = String::from("x");
+        push_escaped(&mut out, "a\"b\\c\nd\u{1f}é");
+        assert_eq!(out, "xa\\\"b\\\\c\\u000ad\\u001fé");
     }
 }

@@ -75,29 +75,46 @@ pub fn static_chunks(
     thread: usize,
     chunk: usize,
 ) -> Vec<Range<usize>> {
+    static_chunk_iter(range, nthreads, thread, chunk).collect()
+}
+
+/// [`static_chunks`] one chunk at a time.
+pub(crate) fn static_chunk_iter(
+    range: Range<usize>,
+    nthreads: usize,
+    thread: usize,
+    chunk: usize,
+) -> impl Iterator<Item = Range<usize>> {
     assert!(nthreads > 0 && thread < nthreads && chunk > 0);
-    let mut out = Vec::new();
-    let mut start = range.start + thread * chunk;
-    while start < range.end {
-        out.push(start..(start + chunk).min(range.end));
-        start += nthreads * chunk;
-    }
-    out
+    let end = range.end;
+    (range.start + thread * chunk..end)
+        .step_by(nthreads * chunk)
+        .map(move |start| start..(start + chunk).min(end))
 }
 
 /// Every chunk a guided schedule with `nthreads` threads and minimum
 /// chunk `min_chunk` produces, in grab order.
 pub fn guided_chunks(range: Range<usize>, nthreads: usize, min_chunk: usize) -> Vec<Range<usize>> {
+    guided_chunk_iter(range, nthreads, min_chunk).collect()
+}
+
+/// [`guided_chunks`] one chunk at a time.
+pub(crate) fn guided_chunk_iter(
+    range: Range<usize>,
+    nthreads: usize,
+    min_chunk: usize,
+) -> impl Iterator<Item = Range<usize>> {
     assert!(nthreads > 0 && min_chunk > 0);
-    let mut out = Vec::new();
-    let mut start = range.start;
-    while start < range.end {
-        let remaining = range.end - start;
+    let Range { mut start, end } = range;
+    std::iter::from_fn(move || {
+        if start >= end {
+            return None;
+        }
+        let remaining = end - start;
         let size = (remaining / (2 * nthreads)).max(min_chunk).min(remaining);
-        out.push(start..start + size);
         start += size;
-    }
-    out
+        Some(start - size..start)
+    })
 }
 
 /// A work-sharing iterator handing out chunks of an index range to

@@ -8,7 +8,7 @@ use pi_sim::event::Cycles;
 use pi_sim::machine::{Machine, MachineConfig, RunReport};
 use pi_sim::program::Program;
 
-use crate::schedule::{guided_chunks, static_block, static_chunks, Schedule};
+use crate::schedule::{guided_chunk_iter, static_block, static_chunk_iter, Schedule};
 
 /// Per-iteration cost model for a simulated loop body.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,35 +148,55 @@ pub fn plan_assignment(
     schedule: Schedule,
     threads: usize,
 ) -> Vec<Vec<std::ops::Range<usize>>> {
+    let mut plan = vec![Vec::new(); threads];
+    visit_plan(iterations, cost, schedule, threads, |t, chunk| {
+        plan[t].push(chunk)
+    });
+    plan
+}
+
+/// Calls `visit(thread, chunk)` for every chunk of the plan
+/// [`plan_assignment`] collects: static policies thread by thread;
+/// dynamic and guided in grab order, each chunk going as it is
+/// generated to the least-loaded thread (ties to the lowest id).
+fn visit_plan(
+    iterations: usize,
+    cost: &CostModel,
+    schedule: Schedule,
+    threads: usize,
+    mut visit: impl FnMut(usize, std::ops::Range<usize>),
+) {
     assert!(threads > 0);
     schedule.validate();
     match schedule {
-        Schedule::StaticBlock => (0..threads)
-            .map(|t| {
+        Schedule::StaticBlock => {
+            for t in 0..threads {
                 let r = static_block(0..iterations, threads, t);
-                if r.is_empty() {
-                    vec![]
-                } else {
-                    vec![r]
+                if !r.is_empty() {
+                    visit(t, r);
                 }
-            })
-            .collect(),
-        Schedule::StaticChunk(c) => (0..threads)
-            .map(|t| static_chunks(0..iterations, threads, t, c))
-            .collect(),
-        Schedule::Dynamic(c) => {
-            let mut chunks = Vec::new();
-            let mut start = 0;
-            while start < iterations {
-                chunks.push(start..(start + c).min(iterations));
-                start += c;
             }
-            greedy_assign(chunks, cost, threads)
         }
-        Schedule::Guided(min_chunk) => greedy_assign(
-            guided_chunks(0..iterations, threads, min_chunk),
+        Schedule::StaticChunk(c) => {
+            for t in 0..threads {
+                for chunk in static_chunk_iter(0..iterations, threads, t, c) {
+                    visit(t, chunk);
+                }
+            }
+        }
+        Schedule::Dynamic(c) => self_schedule(
+            (0..iterations)
+                .step_by(c)
+                .map(|start| start..(start + c).min(iterations)),
             cost,
             threads,
+            visit,
+        ),
+        Schedule::Guided(min_chunk) => self_schedule(
+            guided_chunk_iter(0..iterations, threads, min_chunk),
+            cost,
+            threads,
+            visit,
         ),
     }
 }
@@ -189,26 +209,24 @@ fn iterations_per_thread(assignment: &[Vec<std::ops::Range<usize>>]) -> Vec<usiz
         .collect()
 }
 
-/// Assigns chunks in order to the least-loaded thread (ties to the
-/// lowest id) — deterministic self-scheduling.
-fn greedy_assign(
-    chunks: Vec<std::ops::Range<usize>>,
+/// Hands each of `chunks`, in order, to the least-loaded thread (ties
+/// to the lowest id): deterministic self-scheduling.
+fn self_schedule(
+    chunks: impl Iterator<Item = std::ops::Range<usize>>,
     cost: &CostModel,
     threads: usize,
-) -> Vec<Vec<std::ops::Range<usize>>> {
+    mut visit: impl FnMut(usize, std::ops::Range<usize>),
+) {
     let mut load = vec![0u128; threads];
-    let mut out = vec![Vec::new(); threads];
     for chunk in chunks {
-        let chunk_cost = cost.chunk_cost(&chunk);
         let (t, _) = load
             .iter()
             .enumerate()
             .min_by_key(|&(i, &l)| (l, i))
             .expect("threads > 0");
-        load[t] += chunk_cost as u128;
-        out[t].push(chunk);
+        load[t] += cost.chunk_cost(&chunk) as u128;
+        visit(t, chunk);
     }
-    out
 }
 
 /// How a planned chunk assignment is turned into machine [`Program`]s.
@@ -296,28 +314,41 @@ pub fn simulate_parallel_loop_with_metrics(
     opts: &SimOptions,
     registry: &obs::Registry,
 ) -> SimLoopOutcome {
-    let (assignment, programs) =
-        plan_and_lower(iterations, cost, schedule, threads, opts, Lowering::Rle);
     let chunk_sizes = registry.histogram(
         &format!("parallel_rt/chunks/{}", schedule.label()),
         obs::Domain::Virtual,
         &crate::forloop::CHUNK_SIZE_EDGES,
     );
-    // One bulk record per run of equal chunk sizes.
-    let mut sizes = assignment
-        .iter()
-        .flatten()
-        .map(|c| c.len() as u64)
-        .peekable();
-    while let Some(size) = sizes.next() {
-        let mut n = 1;
-        while sizes.next_if_eq(&size).is_some() {
-            n += 1;
+    // Folds the plan as it is visited, without collecting it: each
+    // thread's iterations and its `Lowering::Rle` total, and one bulk
+    // record per run of equal chunk sizes (a histogram's counts, sum,
+    // min and max do not depend on the order of its records; the
+    // initial empty run records nothing).
+    let mut iterations_per_thread = vec![0; threads];
+    let mut totals = vec![opts.fork_overhead; threads];
+    let mut run = (0, 0);
+    visit_plan(iterations, cost, schedule, threads, |t, chunk| {
+        iterations_per_thread[t] += chunk.len();
+        totals[t] = totals[t].saturating_add(cost.chunk_cost(&chunk));
+        let size = chunk.len() as u64;
+        if run.0 == size {
+            run.1 += 1;
+        } else {
+            chunk_sizes.record_n(run.0, run.1);
+            run = (size, 1);
         }
-        chunk_sizes.record_n(size, n);
-    }
+    });
+    chunk_sizes.record_n(run.0, run.1);
+    let programs = totals
+        .into_iter()
+        .map(|total| Program::new().compute(total))
+        .collect();
     let report = Machine::new(opts.machine).run_with_metrics(programs, registry);
-    SimLoopOutcome::new(&assignment, report)
+    SimLoopOutcome {
+        cycles: report.total_cycles,
+        iterations_per_thread,
+        report,
+    }
 }
 
 /// [`simulate_parallel_loop`] additionally recording the deterministic

@@ -53,11 +53,12 @@ impl CacheConfig {
 /// One set-associative cache with true-LRU replacement, addressed by
 /// line (address / line size) and set index, which the hierarchy
 /// computes once per access.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct SetAssocCache {
     config: CacheConfig,
     /// sets[set] = lines (address / line_bytes) ordered most- to
-    /// least-recently used.
+    /// least-recently used. Empty until the first access installs a
+    /// line: a run that never touches memory builds no set.
     sets: Vec<Vec<u64>>,
 }
 
@@ -65,7 +66,7 @@ impl SetAssocCache {
     fn new(config: CacheConfig) -> Self {
         SetAssocCache {
             config,
-            sets: vec![Vec::with_capacity(config.ways); config.sets],
+            sets: Vec::new(),
         }
     }
 
@@ -73,9 +74,18 @@ impl SetAssocCache {
         (line % self.config.sets as u64) as usize
     }
 
+    /// The lines of set `set`, most recently used first (none before
+    /// the first access).
+    fn lines(&self, set: usize) -> &[u64] {
+        self.sets.get(set).map_or(&[], Vec::as_slice)
+    }
+
     /// Touches `line` in set `set`; returns true on hit. Misses install
     /// the line, evicting LRU if needed.
     fn access(&mut self, set: usize, line: u64) -> bool {
+        if self.sets.is_empty() {
+            self.sets = vec![Vec::with_capacity(self.config.ways); self.config.sets];
+        }
         let set = &mut self.sets[set];
         if let Some(pos) = set.iter().position(|&l| l == line) {
             // Move to MRU position.
@@ -94,13 +104,24 @@ impl SetAssocCache {
     /// Drops `line` from set `set` if present; returns true if it was
     /// present.
     fn invalidate(&mut self, set: usize, line: u64) -> bool {
-        let set = &mut self.sets[set];
+        let Some(set) = self.sets.get_mut(set) else {
+            return false;
+        };
         if let Some(pos) = set.iter().position(|&l| l == line) {
             set.remove(pos);
             true
         } else {
             false
         }
+    }
+}
+
+/// Two caches are equal when they hold the same lines in the same
+/// order: one never accessed equals one whose sets are all empty.
+impl PartialEq for SetAssocCache {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+            && (0..self.config.sets).all(|set| self.lines(set) == other.lines(set))
     }
 }
 
@@ -231,8 +252,8 @@ impl Hierarchy {
     pub(crate) fn push_line_sets(&self, addr: u64, out: &mut Vec<u64>) {
         let line = addr / self.line_bytes;
         let l1_set = self.l1[0].set_of(line);
-        let l2_set = &self.l2.sets[self.l2.set_of(line)];
-        for set in self.l1.iter().map(|l1| &l1.sets[l1_set]).chain([l2_set]) {
+        let l2_set = self.l2.lines(self.l2.set_of(line));
+        for set in self.l1.iter().map(|l1| l1.lines(l1_set)).chain([l2_set]) {
             out.push(set.len() as u64);
             out.extend_from_slice(set);
         }
@@ -292,6 +313,31 @@ mod tests {
         assert_eq!(h.access(0, 0x1030, false).level, HitLevel::L1);
         // Next line was never fetched → misses all the way to memory.
         assert_eq!(h.access(0, 0x1040, false).level, HitLevel::Memory);
+    }
+
+    #[test]
+    fn sets_are_built_on_the_first_install() {
+        let mut h = Hierarchy::pi(2);
+        let unbuilt = |c: &SetAssocCache| c.sets.is_empty();
+        assert!(h.l1.iter().chain([&h.l2]).all(unbuilt));
+        let mut lines = Vec::new();
+        h.push_line_sets(0x4000, &mut lines);
+        assert_eq!(lines, [0, 0, 0], "two empty L1 sets, then the L2's");
+        // Equal to a hierarchy whose sets exist but hold nothing.
+        let mut built = h.clone();
+        for cache in built.l1.iter_mut().chain([&mut built.l2]) {
+            cache.sets = vec![Vec::new(); cache.config.sets];
+        }
+        assert!(h == built);
+        // A write probes core 1's unbuilt L1 and finds nothing there.
+        let out = h.access(0, 0x4000, true);
+        assert_eq!((out.level, out.invalidations), (HitLevel::Memory, 0));
+        assert!(unbuilt(&h.l1[1]) && !unbuilt(&h.l1[0]) && !unbuilt(&h.l2));
+        lines.clear();
+        h.push_line_sets(0x4000, &mut lines);
+        let line = 0x4000 / 64;
+        assert_eq!(lines, [1, line, 0, 1, line]);
+        assert!(h != built);
     }
 
     #[test]

@@ -337,6 +337,28 @@ fn paired_group_impl<const W: usize>(
     extreme[..W].copy_from_slice(&ex);
 }
 
+/// Whether a dispatch site may take its AVX-512F arm: the host has
+/// AVX-512F and, in tests, the thread's arm cap allows it.
+#[cfg(target_arch = "x86_64")]
+fn use_avx512f() -> bool {
+    #[cfg(test)]
+    if tests::ARM_CAP.get() < tests::Arm::Avx512 {
+        return false;
+    }
+    std::arch::is_x86_feature_detected!("avx512f")
+}
+
+/// Whether a dispatch site may take its AVX2 arm: the host has AVX2
+/// and, in tests, the thread's arm cap allows it.
+#[cfg(target_arch = "x86_64")]
+fn use_avx2() -> bool {
+    #[cfg(test)]
+    if tests::ARM_CAP.get() < tests::Arm::Avx2 {
+        return false;
+    }
+    std::arch::is_x86_feature_detected!("avx2")
+}
+
 /// Dispatches [`paired_group_impl`] to an AVX2-compiled instantiation
 /// when the host supports it. The wide build executes the identical
 /// Rust body — same draws, same per-lane addition order, and every
@@ -354,7 +376,7 @@ fn paired_group<const W: usize>(
 ) {
     #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
-    if std::arch::is_x86_feature_detected!("avx512f") {
+    if use_avx512f() {
         #[target_feature(enable = "avx512f")]
         unsafe fn wide512<const W: usize>(
             diffs_doubled: &[&[f64]],
@@ -391,7 +413,7 @@ fn paired_group<const W: usize>(
     }
     #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if use_avx2() {
         #[target_feature(enable = "avx2")]
         unsafe fn wide<const W: usize>(
             diffs_doubled: &[&[f64]],
@@ -655,17 +677,14 @@ fn bootstrap_group<const W: usize>(
     let _ = &inter;
     #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
-    if W == MAX_LANES
-        && data[0].len().is_multiple_of(2)
-        && std::arch::is_x86_feature_detected!("avx512f")
-    {
+    if W == MAX_LANES && data[0].len().is_multiple_of(2) && use_avx512f() {
         // SAFETY: reached only when run-time detection confirms AVX-512F.
         unsafe { bootstrap_group_w8_avx512(data, reps, seeds, inter, stats) };
         return;
     }
     #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
-    if std::arch::is_x86_feature_detected!("avx512f") {
+    if use_avx512f() {
         #[target_feature(enable = "avx512f")]
         unsafe fn wide512<const W: usize>(
             data: &[&[f64]],
@@ -681,7 +700,7 @@ fn bootstrap_group<const W: usize>(
     }
     #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if use_avx2() {
         #[target_feature(enable = "avx2")]
         unsafe fn wide<const W: usize>(
             data: &[&[f64]],
@@ -907,7 +926,7 @@ fn two_sample_group_uniform<const W: usize>(
 ) {
     #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
-    if std::arch::is_x86_feature_detected!("avx512f") {
+    if use_avx512f() {
         #[target_feature(enable = "avx512f")]
         #[allow(clippy::too_many_arguments)]
         unsafe fn wide512<const W: usize>(
@@ -954,7 +973,7 @@ fn two_sample_group_uniform<const W: usize>(
     }
     #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if use_avx2() {
         #[target_feature(enable = "avx2")]
         #[allow(clippy::too_many_arguments)]
         unsafe fn wide<const W: usize>(
@@ -1144,9 +1163,67 @@ mod tests {
         bootstrap_ci_par, permutation_test_paired_par, permutation_test_two_sample_par,
     };
     use proptest::prelude::*;
+    use std::cell::Cell;
+
+    /// The SIMD arms a dispatch site chooses between, narrowest first.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub(super) enum Arm {
+        Plain,
+        Avx2,
+        Avx512,
+    }
+
+    thread_local! {
+        /// The widest arm this thread's dispatch sites may take.
+        pub(super) static ARM_CAP: Cell<Arm> = const { Cell::new(Arm::Avx512) };
+    }
+
+    /// Every arm this host can run, narrowest first.
+    fn host_arms() -> Vec<Arm> {
+        let mut arms = vec![Arm::Plain];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                arms.push(Arm::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                arms.push(Arm::Avx512);
+            }
+        }
+        arms
+    }
+
+    /// Runs `body` once under each arm the host supports, with the
+    /// dispatch sites capped at that arm, and lifts the cap after.
+    fn under_every_arm<E>(
+        mut body: impl FnMut(Arm) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let outcome = host_arms().into_iter().try_for_each(|arm| {
+            ARM_CAP.set(arm);
+            body(arm)
+        });
+        ARM_CAP.set(Arm::Avx512);
+        outcome
+    }
 
     fn refs(v: &[Vec<f64>]) -> Vec<&[f64]> {
         v.iter().map(|x| x.as_slice()).collect()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_arm_cap_narrows_every_dispatch() {
+        let mut seen = Vec::new();
+        under_every_arm(|arm| {
+            seen.push((arm, use_avx2(), use_avx512f()));
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        for (arm, avx2, avx512) in seen {
+            assert_eq!(avx2, arm >= Arm::Avx2, "{arm:?}");
+            assert_eq!(avx512, arm == Arm::Avx512, "{arm:?}");
+        }
+        assert_eq!(ARM_CAP.get(), Arm::Avx512, "the cap is lifted after");
     }
 
     #[test]
@@ -1253,19 +1330,24 @@ mod tests {
                 .map(|(k, f)| f.iter().map(|x| x + 0.05 * k as f64).collect())
                 .collect();
             let seeds: Vec<u64> = (0..11).map(|k| 1000 + k).collect();
-            let batched = permutation_test_paired_batch(
-                &refs(&firsts),
-                &refs(&seconds),
-                perms,
-                &seeds,
-                &mut scratch,
-            )
+            let scalar: Vec<_> = (0..11)
+                .map(|k| {
+                    permutation_test_paired_par(&firsts[k], &seconds[k], perms, seeds[k]).unwrap()
+                })
+                .collect();
+            under_every_arm(|arm| {
+                let batched = permutation_test_paired_batch(
+                    &refs(&firsts),
+                    &refs(&seconds),
+                    perms,
+                    &seeds,
+                    &mut scratch,
+                )
+                .unwrap();
+                assert_eq!(batched, scalar, "{arm:?}, perms {perms}");
+                Ok::<_, ()>(())
+            })
             .unwrap();
-            for k in 0..11 {
-                let scalar =
-                    permutation_test_paired_par(&firsts[k], &seconds[k], perms, seeds[k]).unwrap();
-                assert_eq!(batched[k], scalar, "lane {k}, perms {perms}");
-            }
         }
     }
 
@@ -1277,19 +1359,26 @@ mod tests {
                 .map(|k| (0..n).map(|i| ((i * 13 + k * 7) % 29) as f64).collect())
                 .collect();
             let seeds: Vec<u64> = (0..lanes as u64).map(|k| 7 * k + 1).collect();
-            let batched =
-                bootstrap_mean_ci_batch(&refs(&data), 0.95, reps, &seeds, &mut scratch).unwrap();
-            for k in 0..lanes {
-                let scalar = bootstrap_ci_par(
-                    &data[k],
-                    |d| d.iter().sum::<f64>() / d.len() as f64,
-                    0.95,
-                    reps,
-                    seeds[k],
-                )
-                .unwrap();
-                assert_eq!(batched[k], scalar, "lane {k}");
-            }
+            let scalar: Vec<_> = (0..lanes)
+                .map(|k| {
+                    bootstrap_ci_par(
+                        &data[k],
+                        |d| d.iter().sum::<f64>() / d.len() as f64,
+                        0.95,
+                        reps,
+                        seeds[k],
+                    )
+                    .unwrap()
+                })
+                .collect();
+            under_every_arm(|arm| {
+                let batched =
+                    bootstrap_mean_ci_batch(&refs(&data), 0.95, reps, &seeds, &mut scratch)
+                        .unwrap();
+                assert_eq!(batched, scalar, "{arm:?}, {lanes} lanes of {n}");
+                Ok::<_, ()>(())
+            })
+            .unwrap();
         }
     }
 
@@ -1304,19 +1393,22 @@ mod tests {
             .collect();
         let seeds: Vec<u64> = (0..9).map(|k| 31 * k + 5).collect();
         for perms in [300usize, 257] {
-            let batched = permutation_test_two_sample_batch(
-                &refs(&a),
-                &refs(&b),
-                perms,
-                &seeds,
-                &mut scratch,
-            )
+            let scalar: Vec<_> = (0..9)
+                .map(|k| permutation_test_two_sample_par(&a[k], &b[k], perms, seeds[k]).unwrap())
+                .collect();
+            under_every_arm(|arm| {
+                let batched = permutation_test_two_sample_batch(
+                    &refs(&a),
+                    &refs(&b),
+                    perms,
+                    &seeds,
+                    &mut scratch,
+                )
+                .unwrap();
+                assert_eq!(batched, scalar, "{arm:?}, perms {perms}");
+                Ok::<_, ()>(())
+            })
             .unwrap();
-            for k in 0..9 {
-                let scalar =
-                    permutation_test_two_sample_par(&a[k], &b[k], perms, seeds[k]).unwrap();
-                assert_eq!(batched[k], scalar, "lane {k}, perms {perms}");
-            }
         }
     }
 
@@ -1389,14 +1481,17 @@ mod tests {
                 .map(|(k, f)| f.iter().map(|x| x + 0.1 * (k as f64 - 1.0)).collect())
                 .collect();
             let seeds: Vec<u64> = (0..lanes as u64).map(|k| seed0 + 17 * k).collect();
+            let scalar: Vec<_> = (0..lanes)
+                .map(|k| permutation_test_paired_par(
+                    &firsts[k], &seconds[k], perms, seeds[k]).unwrap())
+                .collect();
             let mut scratch = BatchScratch::new();
-            let batched = permutation_test_paired_batch(
-                &refs(&firsts), &refs(&seconds), perms, &seeds, &mut scratch).unwrap();
-            for k in 0..lanes {
-                let scalar = permutation_test_paired_par(
-                    &firsts[k], &seconds[k], perms, seeds[k]).unwrap();
-                prop_assert_eq!(&batched[k], &scalar);
-            }
+            under_every_arm(|arm| {
+                let batched = permutation_test_paired_batch(
+                    &refs(&firsts), &refs(&seconds), perms, &seeds, &mut scratch).unwrap();
+                prop_assert_eq!(&batched, &scalar, "{:?}", arm);
+                Ok(())
+            })?;
         }
 
         #[test]
@@ -1410,16 +1505,19 @@ mod tests {
                 .map(|k| (0..n).map(|i| ((i * 7 + k * 3) % 23) as f64 - 11.0).collect())
                 .collect();
             let seeds: Vec<u64> = (0..lanes as u64).map(|k| seed0 + 13 * k).collect();
-            let mut scratch = BatchScratch::new();
-            let batched =
-                bootstrap_mean_ci_batch(&refs(&data), 0.9, reps, &seeds, &mut scratch).unwrap();
-            for k in 0..lanes {
-                let scalar = bootstrap_ci_par(
+            let scalar: Vec<_> = (0..lanes)
+                .map(|k| bootstrap_ci_par(
                     &data[k],
                     |d| d.iter().sum::<f64>() / d.len() as f64,
-                    0.9, reps, seeds[k]).unwrap();
-                prop_assert_eq!(&batched[k], &scalar);
-            }
+                    0.9, reps, seeds[k]).unwrap())
+                .collect();
+            let mut scratch = BatchScratch::new();
+            under_every_arm(|arm| {
+                let batched =
+                    bootstrap_mean_ci_batch(&refs(&data), 0.9, reps, &seeds, &mut scratch).unwrap();
+                prop_assert_eq!(&batched, &scalar, "{:?}", arm);
+                Ok(())
+            })?;
         }
 
         #[test]
@@ -1437,14 +1535,16 @@ mod tests {
                 .map(|k| (0..nb).map(|i| ((i * 5 + 2 * k) % 17) as f64).collect())
                 .collect();
             let seeds: Vec<u64> = (0..lanes as u64).map(|k| seed0 + 29 * k).collect();
+            let scalar: Vec<_> = (0..lanes)
+                .map(|k| permutation_test_two_sample_par(&a[k], &b[k], perms, seeds[k]).unwrap())
+                .collect();
             let mut scratch = BatchScratch::new();
-            let batched = permutation_test_two_sample_batch(
-                &refs(&a), &refs(&b), perms, &seeds, &mut scratch).unwrap();
-            for k in 0..lanes {
-                let scalar = permutation_test_two_sample_par(
-                    &a[k], &b[k], perms, seeds[k]).unwrap();
-                prop_assert_eq!(&batched[k], &scalar);
-            }
+            under_every_arm(|arm| {
+                let batched = permutation_test_two_sample_batch(
+                    &refs(&a), &refs(&b), perms, &seeds, &mut scratch).unwrap();
+                prop_assert_eq!(&batched, &scalar, "{:?}", arm);
+                Ok(())
+            })?;
         }
     }
 }

@@ -8,7 +8,8 @@ use mapreduce::{run_job, JobConfig, MapReduce};
 use parallel_rt::reduction::Sum;
 use parallel_rt::schedule::{static_block, static_chunks};
 use parallel_rt::sim::{
-    plan_assignment, simulate_parallel_loop_lowered, CostModel, Lowering, SimOptions,
+    lower_programs, plan_assignment, simulate_parallel_loop_lowered,
+    simulate_parallel_loop_with_metrics, CostModel, Lowering, SimOptions,
 };
 use parallel_rt::{Schedule, Team};
 use pi_sim::machine::{Machine, MachineConfig, RunReport};
@@ -331,5 +332,197 @@ proptest! {
         let a = Machine::new(config).run(rle);
         let b = Machine::new(config).run(unit);
         assert_reports_bit_identical(&a, &b)?;
+    }
+}
+
+/// A snapshot of 0–16 metrics of all three kinds in both domains, with
+/// `/`-separated names, 0–14 histogram edges and values anywhere in
+/// `0..=u64::MAX` (every digit count is about as likely), drawn from
+/// `seed` by SplitMix64.
+fn random_snapshot(seed: u64) -> obs::MetricsSnapshot {
+    use obs::{Domain, MetricData, MetricSample};
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let value = |next: &mut dyn FnMut() -> u64| match next() % 8 {
+        0 => 0,
+        1 => u64::MAX,
+        _ => next() >> (next() % 64),
+    };
+    let metrics = (0..next() % 17)
+        .map(|_| {
+            const LETTERS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_";
+            let name = (0..1 + next() % 4)
+                .map(|_| {
+                    (0..1 + next() % 10)
+                        .map(|_| LETTERS[(next() % LETTERS.len() as u64) as usize] as char)
+                        .collect::<String>()
+                })
+                .collect::<Vec<_>>()
+                .join("/");
+            let domain = if next() % 2 == 0 {
+                Domain::Virtual
+            } else {
+                Domain::Wall
+            };
+            let data = match next() % 3 {
+                0 => MetricData::Counter {
+                    value: value(&mut next),
+                },
+                1 => {
+                    let edges: Vec<u64> = (0..next() % 15).map(|_| value(&mut next)).collect();
+                    MetricData::Histogram {
+                        counts: (0..=edges.len()).map(|_| value(&mut next)).collect(),
+                        edges,
+                        count: value(&mut next),
+                        sum: value(&mut next),
+                        min: value(&mut next),
+                        max: value(&mut next),
+                    }
+                }
+                _ => MetricData::Span {
+                    total: value(&mut next),
+                    entries: value(&mut next),
+                },
+            };
+            MetricSample { name, domain, data }
+        })
+        .collect();
+    obs::MetricsSnapshot { metrics }
+}
+
+/// The metrics JSON as it was rendered before the one-pass writer: one
+/// `format!` per metric, `Vec<String>` arrays, and the digest line
+/// spliced in after the schema line.
+fn reference_metrics_json(snapshot: &obs::MetricsSnapshot, digested: bool) -> String {
+    use obs::MetricData;
+    use std::fmt::Write as _;
+    fn array(values: &[u64]) -> String {
+        let inner: Vec<String> = values.iter().map(u64::to_string).collect();
+        format!("[{}]", inner.join(", "))
+    }
+    let mut out = String::new();
+    out.push_str("{\n");
+    let _ = writeln!(out, "  \"schema\": \"pbl-obs/v1\",");
+    out.push_str("  \"metrics\": [\n");
+    for (i, m) in snapshot.metrics.iter().enumerate() {
+        let body = match &m.data {
+            MetricData::Counter { value } => format!(
+                "\"kind\": \"counter\", \"domain\": \"{}\", \"value\": {value}",
+                m.domain.label()
+            ),
+            MetricData::Histogram {
+                edges,
+                counts,
+                count,
+                sum,
+                min,
+                max,
+            } => format!(
+                "\"kind\": \"histogram\", \"domain\": \"{}\", \"edges\": {}, \"counts\": {}, \"count\": {count}, \"sum\": {sum}, \"min\": {min}, \"max\": {max}",
+                m.domain.label(),
+                array(edges),
+                array(counts),
+            ),
+            MetricData::Span { total, entries } => format!(
+                "\"kind\": \"span\", \"domain\": \"{}\", \"total\": {total}, \"entries\": {entries}",
+                m.domain.label()
+            ),
+        };
+        let comma = if i + 1 == snapshot.metrics.len() {
+            ""
+        } else {
+            ","
+        };
+        let _ = writeln!(out, "    {{\"name\": \"{}\", {body}}}{comma}", m.name);
+    }
+    out.push_str("  ]\n}\n");
+    if !digested {
+        return out;
+    }
+    let schema_end = out.find(",\n").expect("schema line") + 2;
+    let digest = obs::trace::fnv1a(out.as_bytes());
+    let line = format!("  \"digest\": \"0x{digest:016x}\",\n");
+    format!("{}{line}{}", &out[..schema_end], &out[schema_end..])
+}
+
+/// `parallel_rt`'s chunk-size histogram edges, which the served path
+/// registers before the machine's metrics.
+const CHUNK_SIZE_EDGES: [u64; 13] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one-pass metrics writer renders every snapshot to the bytes
+    /// of the reference renderer, with and without the digest line, and
+    /// the digest line holds `digest()`.
+    #[test]
+    fn snapshot_json_matches_the_reference_renderer(seed in 0u64..u64::MAX) {
+        let snapshot = random_snapshot(seed);
+        let plain = snapshot.to_json();
+        prop_assert_eq!(&plain, &reference_metrics_json(&snapshot, false));
+        let digested = snapshot.to_json_with_digest();
+        prop_assert_eq!(&digested, &reference_metrics_json(&snapshot, true));
+        prop_assert_eq!(digested.len(), plain.len() + 34);
+        let line = format!("  \"digest\": \"0x{:016x}\",\n", snapshot.digest());
+        prop_assert!(digested.contains(&line), "{}", digested);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The served loop folds its plan without collecting it; it must
+    /// give what the collected plan gives when lowered per iteration,
+    /// with the chunk histogram recorded chunk by chunk.
+    #[test]
+    fn served_loop_matches_the_collected_plan(
+        iterations in 0usize..20_001,
+        threads in 1usize..10,
+        model_sel in 0u8..3,
+        sched_sel in 0u8..4,
+        chunk in 1usize..65,
+        a in 1u64..300,
+        b in 0u64..8,
+    ) {
+        let cost = match model_sel {
+            0 => CostModel::Uniform(a),
+            1 => CostModel::Linear { base: a, slope: b },
+            _ => CostModel::Alternating { even: a, odd: a + b },
+        };
+        let schedule = match sched_sel {
+            0 => Schedule::StaticBlock,
+            1 => Schedule::StaticChunk(chunk),
+            2 => Schedule::Dynamic(chunk),
+            _ => Schedule::Guided(chunk),
+        };
+        let opts = SimOptions::default();
+        let served_registry = obs::Registry::new();
+        let served = simulate_parallel_loop_with_metrics(
+            iterations, &cost, schedule, threads, &opts, &served_registry);
+
+        let plan = plan_assignment(iterations, &cost, schedule, threads);
+        let registry = obs::Registry::new();
+        let chunk_sizes = registry.histogram(
+            &format!("parallel_rt/chunks/{}", schedule.label()),
+            obs::Domain::Virtual,
+            &CHUNK_SIZE_EDGES,
+        );
+        for chunk in plan.iter().flatten() {
+            chunk_sizes.record(chunk.len() as u64);
+        }
+        let programs = lower_programs(&plan, &cost, opts.fork_overhead, Lowering::PerIteration);
+        let report = Machine::new(opts.machine).run_with_metrics(programs, &registry);
+        let per_thread: Vec<usize> = plan.iter().map(|c| c.iter().map(|r| r.len()).sum()).collect();
+
+        prop_assert_eq!(served.cycles, report.total_cycles);
+        prop_assert_eq!(&served.iterations_per_thread, &per_thread);
+        assert_reports_bit_identical(&served.report, &report)?;
+        prop_assert_eq!(served_registry.snapshot().to_json(), registry.snapshot().to_json());
     }
 }
