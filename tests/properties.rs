@@ -526,3 +526,314 @@ proptest! {
         prop_assert_eq!(served_registry.snapshot().to_json(), registry.snapshot().to_json());
     }
 }
+
+/// SplitMix64 draws for the document generators below.
+struct Draws(u64);
+
+impl Draws {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A value anywhere in `0..=u64::MAX`, every digit count about as
+    /// likely.
+    fn value(&mut self) -> u64 {
+        match self.next() % 8 {
+            0 => 0,
+            1 => u64::MAX,
+            _ => {
+                let bits = self.next();
+                bits >> (self.next() % 64)
+            }
+        }
+    }
+
+    /// `1..=max_len` characters of `alphabet`.
+    fn word(&mut self, alphabet: &[char], max_len: u64) -> String {
+        (0..1 + self.next() % max_len)
+            .map(|_| alphabet[(self.next() % alphabet.len() as u64) as usize])
+            .collect()
+    }
+}
+
+/// A series set of 0–8 counters, gauges and histograms (0–6 edges) on
+/// shards 0–2 and `CLUSTER_SHARD`, either value of `invariant`, with
+/// samples that land in, between and before the ring's windows; rolled
+/// up a quarter of the time.
+fn random_series(seed: u64) -> obs::SeriesSet {
+    const SAFE: &[char] = &['a', 'b', 'z', '0', '9', '_', '/', '-', '.', ' '];
+    let mut draw = Draws(seed);
+    let mut set = obs::SeriesSet::new(1 + draw.next() % 3, 1 + (draw.next() % 8) as usize);
+    for _ in 0..draw.next() % 9 {
+        let kind = draw.next() % 3;
+        // The kind is part of the name, so a repeated name never
+        // re-opens a series as another kind.
+        let name = format!(
+            "{}{}",
+            ["c/", "g/", "h/"][kind as usize],
+            draw.word(SAFE, 6)
+        );
+        let shard = match draw.next() % 4 {
+            3 => obs::CLUSTER_SHARD,
+            s => s as u32,
+        };
+        let invariant = draw.next().is_multiple_of(2);
+        let mut edges: Vec<u64> = (0..draw.next() % 7).map(|_| draw.value()).collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let samples: Vec<(u64, u64)> = (0..draw.next() % 24)
+            .map(|_| (draw.next() % 40, draw.value()))
+            .collect();
+        let series = match kind {
+            0 => set.counter(&name, shard, invariant),
+            1 => set.gauge(&name, shard, invariant),
+            _ => set.histogram(&name, shard, invariant, &edges),
+        };
+        for (vt, value) in samples {
+            series.record(vt, value);
+        }
+    }
+    if draw.next().is_multiple_of(4) {
+        set.rollup()
+    } else {
+        set
+    }
+}
+
+/// The `"pbl-ts/v1"` JSON as it was rendered before the shared writer:
+/// one `writeln!` per series and per point, histogram counts joined
+/// from a `Vec<String>`, and the digest line spliced in after the
+/// schema line.
+fn reference_series_json(
+    set: &obs::SeriesSet,
+    filter: impl Fn(&obs::TimeSeries) -> bool,
+    digested: bool,
+) -> String {
+    use obs::timeseries::bucket_percentile;
+    use obs::{SeriesKind, TimeSeries, WindowPoint};
+    use std::fmt::Write as _;
+    fn shard_label(shard: u32) -> String {
+        if shard == obs::CLUSTER_SHARD {
+            "cluster".to_string()
+        } else {
+            shard.to_string()
+        }
+    }
+    let picked: Vec<&TimeSeries> = set.iter().filter(|s| filter(s)).collect();
+    let mut out = String::new();
+    out.push_str("{\n  \"schema\": \"pbl-ts/v1\",\n");
+    out.push_str("  \"series\": [\n");
+    for (i, s) in picked.iter().enumerate() {
+        let comma = if i + 1 == picked.len() { "" } else { "," };
+        let _ = writeln!(
+            out,
+            "    {{\"name\": \"{}\", \"shard\": \"{}\", \"kind\": \"{}\", \"width\": {}, \"capacity\": {}, \"invariant\": {}, \"dropped\": {}, \"points\": {}}}{comma}",
+            s.name,
+            shard_label(s.shard),
+            s.kind.label(),
+            s.width,
+            s.capacity,
+            s.invariant,
+            s.dropped,
+            s.points().count(),
+        );
+    }
+    out.push_str("  ],\n");
+    let mut rows: Vec<(u64, u32, &str, &TimeSeries, &WindowPoint)> = Vec::new();
+    for s in &picked {
+        for p in s.points() {
+            rows.push((p.window, s.shard, s.name.as_str(), s, p));
+        }
+    }
+    rows.sort_by_key(|&(window, shard, name, _, _)| (window, shard, name.to_string()));
+    out.push_str("  \"points\": [\n");
+    for (i, (window, shard, name, s, p)) in rows.iter().enumerate() {
+        let comma = if i + 1 == rows.len() { "" } else { "," };
+        let body = match s.kind {
+            SeriesKind::Counter | SeriesKind::Gauge => format!("\"value\": {}", p.value),
+            SeriesKind::Histogram => {
+                let pct = |p_mille| bucket_percentile(&s.edges, &p.counts, p.count, p.max, p_mille);
+                let counts: Vec<String> = p.counts.iter().map(u64::to_string).collect();
+                format!(
+                    "\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"counts\": [{}]",
+                    p.count,
+                    p.sum,
+                    p.min,
+                    p.max,
+                    pct(500),
+                    pct(950),
+                    pct(990),
+                    counts.join(", "),
+                )
+            }
+        };
+        let _ = writeln!(
+            out,
+            "    {{\"window\": {window}, \"shard\": \"{}\", \"series\": \"{name}\", {body}}}{comma}",
+            shard_label(*shard),
+        );
+    }
+    out.push_str("  ]\n}\n");
+    if !digested {
+        return out;
+    }
+    let schema_end = out.find(",\n").expect("schema line") + 2;
+    let digest = obs::trace::fnv1a(out.as_bytes());
+    let line = format!("  \"digest\": \"0x{digest:016x}\",\n");
+    format!("{}{line}{}", &out[..schema_end], &out[schema_end..])
+}
+
+/// A merge of 1–3 traces, each of 0–4 lanes with distinct ids drawn
+/// from 0–7, holding events of all four kinds at colliding times, with
+/// names that need escaping and lane capacities that drop events.
+fn random_trace(seed: u64) -> obs::trace::Trace {
+    use obs::trace::{category, Trace, TraceBuffer};
+    const NAMES: &[char] = &['a', 'Z', '0', '/', ' ', '"', '\\', '\n', '\u{1}', 'é'];
+    const CATEGORIES: [&str; 4] = [category::SLICE, category::BUS, category::CHUNK, ""];
+    let mut draw = Draws(seed);
+    let parts: Vec<(String, Trace)> = (0..1 + draw.next() % 3)
+        .map(|_| {
+            let process = draw.word(NAMES, 6);
+            let mut ids: Vec<u32> = (0..8).collect();
+            let buffers: Vec<TraceBuffer> = (0..draw.next() % 5)
+                .map(|_| {
+                    let id = ids.remove((draw.next() % ids.len() as u64) as usize);
+                    let mut buf =
+                        TraceBuffer::new(id, draw.word(NAMES, 8), (draw.next() % 12) as usize);
+                    for _ in 0..draw.next() % 16 {
+                        let time = draw.next() % 20;
+                        let name = draw.word(NAMES, 5);
+                        let cat = CATEGORIES[(draw.next() % 4) as usize];
+                        let value = draw.value();
+                        match draw.next() % 4 {
+                            0 => buf.begin(time, name, cat, value),
+                            1 => buf.end(time),
+                            2 => buf.instant(time, name, cat, value),
+                            _ => buf.counter(time, name, cat, value),
+                        }
+                    }
+                    buf
+                })
+                .collect();
+            (process, Trace::from_buffers(buffers))
+        })
+        .collect();
+    Trace::merge(
+        parts
+            .iter()
+            .map(|(name, t)| (name.as_str(), t.clone()))
+            .collect(),
+    )
+}
+
+/// The Chrome trace JSON as it was rendered before the shared writer:
+/// one `format!`ed line per metadata record and event, collected into
+/// a `Vec<String>`, with each event's process found by a linear scan.
+fn reference_chrome_json(trace: &obs::trace::Trace) -> String {
+    use obs::trace::EventKind;
+    use std::fmt::Write as _;
+    fn escaped(out: &mut String, s: &str) {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+    }
+    let mut out = String::new();
+    out.push_str("{\n");
+    out.push_str("  \"displayTimeUnit\": \"ns\",\n");
+    let _ = writeln!(
+        out,
+        "  \"otherData\": {{\"schema\": \"pbl-trace/v1\", \"dropped\": {}}},",
+        trace.dropped
+    );
+    out.push_str("  \"traceEvents\": [\n");
+    let mut lines: Vec<String> = Vec::new();
+    for p in &trace.processes {
+        let mut line = format!(
+            "{{\"ph\": \"M\", \"pid\": {}, \"tid\": 0, \"name\": \"process_name\", \"args\": {{\"name\": \"",
+            p.pid
+        );
+        escaped(&mut line, &p.name);
+        line.push_str("\"}}");
+        lines.push(line);
+    }
+    for lane in &trace.lanes {
+        let mut line = format!(
+            "{{\"ph\": \"M\", \"pid\": {}, \"tid\": {}, \"name\": \"thread_name\", \"args\": {{\"name\": \"",
+            lane.pid, lane.id
+        );
+        escaped(&mut line, &lane.name);
+        line.push_str("\"}}");
+        lines.push(line);
+    }
+    for ev in &trace.events {
+        let pid = trace
+            .lanes
+            .iter()
+            .find(|l| l.id == ev.lane)
+            .map_or(0, |l| l.pid);
+        let phase = match ev.kind {
+            EventKind::Begin => "B",
+            EventKind::End => "E",
+            EventKind::Instant => "i",
+            EventKind::Counter => "C",
+        };
+        let mut line = format!(
+            "{{\"ph\": \"{phase}\", \"pid\": {pid}, \"tid\": {}, \"ts\": {}",
+            ev.lane, ev.time
+        );
+        if ev.kind != EventKind::End {
+            line.push_str(", \"name\": \"");
+            escaped(&mut line, &ev.name);
+            let _ = write!(line, "\", \"cat\": \"{}\"", ev.category);
+            if ev.kind == EventKind::Instant {
+                line.push_str(", \"s\": \"t\"");
+            }
+            let _ = write!(line, ", \"args\": {{\"v\": {}}}", ev.value);
+        }
+        line.push('}');
+        lines.push(line);
+    }
+    for (i, line) in lines.iter().enumerate() {
+        let comma = if i + 1 == lines.len() { "" } else { "," };
+        let _ = writeln!(out, "    {line}{comma}");
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every series export renders a random set to the bytes of the
+    /// reference renderer: all series, the invariant ones, and all of
+    /// them with the digest line.
+    #[test]
+    fn series_json_matches_the_reference_renderer(seed in 0u64..u64::MAX) {
+        let set = random_series(seed);
+        prop_assert_eq!(set.to_json(), reference_series_json(&set, |_| true, false));
+        prop_assert_eq!(set.invariant_json(), reference_series_json(&set, |s| s.invariant, false));
+        prop_assert_eq!(
+            set.to_json_with_digest(),
+            reference_series_json(&set, |_| true, true)
+        );
+    }
+
+    /// The Chrome export renders a random merged trace to the bytes of
+    /// the reference renderer.
+    #[test]
+    fn chrome_json_matches_the_reference_renderer(seed in 0u64..u64::MAX) {
+        let trace = random_trace(seed);
+        prop_assert_eq!(trace.to_chrome_json(), reference_chrome_json(&trace));
+    }
+}
