@@ -30,7 +30,6 @@
 use std::fmt::Write as _;
 
 use crate::timeseries::{SeriesSet, TimeSeries};
-use crate::trace::fnv1a;
 
 /// A service-level objective with two-window burn-rate alerting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,44 +191,6 @@ impl Timeline {
             .iter()
             .filter(|i| i.edge == IncidentEdge::Firing && i.rule == rule)
             .count()
-    }
-
-    /// Byte-stable `"pbl-alert/v1"` JSON of the timeline.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"pbl-alert/v1\",\n");
-        let _ = writeln!(out, "  \"firing\": {},", self.firing_count());
-        out.push_str("  \"incidents\": [\n");
-        for (i, inc) in self.incidents.iter().enumerate() {
-            let comma = if i + 1 == self.incidents.len() {
-                ""
-            } else {
-                ","
-            };
-            let shard = if inc.shard == crate::timeseries::CLUSTER_SHARD {
-                "cluster".to_string()
-            } else {
-                inc.shard.to_string()
-            };
-            let _ = writeln!(
-                out,
-                "    {{\"window\": {}, \"rule\": \"{}\", \"series\": \"{}\", \"shard\": \"{}\", \"edge\": \"{}\", \"value_milli\": {}, \"threshold_milli\": {}}}{comma}",
-                inc.window,
-                inc.rule,
-                inc.series,
-                shard,
-                inc.edge.label(),
-                inc.value_milli,
-                inc.threshold_milli,
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// FNV-1a digest of [`Timeline::to_json`].
-    pub fn digest(&self) -> u64 {
-        fnv1a(self.to_json().as_bytes())
     }
 
     /// Human-readable timeline, one line per edge.
@@ -472,15 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn evaluator_is_pure_and_timeline_json_is_stable() {
+    fn evaluator_is_pure() {
         let series = weekly_series(Some(25));
         let policy = anomaly_policy();
         let a = evaluate(&series, &policy);
         let b = evaluate(&series, &policy);
         assert_eq!(a, b);
-        assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(a.digest(), b.digest());
-        assert!(a.to_json().contains("\"schema\": \"pbl-alert/v1\""));
         assert!(a.render_text().contains("FIRING"));
     }
 }

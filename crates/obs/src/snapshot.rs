@@ -2,6 +2,7 @@
 
 use std::fmt::Write as _;
 
+use crate::json::{self, Layout};
 use crate::registry::Domain;
 
 /// The value part of one exported metric.
@@ -87,12 +88,11 @@ impl MetricsSnapshot {
     }
 
     /// Writes the document in one pass into one `String`, with the
-    /// digest line's slot after the schema line when `digested`.
+    /// digest line after the schema line when `digested`.
     fn render(&self, digested: bool) -> String {
-        // Room for every metric at its widest numbers, so the writer
-        // does not regrow; the result is trimmed to its length below.
-        let bound = 64
-            + DIGEST_LINE_LEN
+        // Room for the header, the digest line and every metric at its
+        // widest numbers, so the writer does not regrow.
+        let bound = 100
             + self
                 .metrics
                 .iter()
@@ -107,57 +107,45 @@ impl MetricsSnapshot {
                     160 + m.name.len() + 22 * numbers
                 })
                 .sum::<usize>();
-        let mut out = String::with_capacity(bound);
-        out.push_str("{\n  \"schema\": \"pbl-obs/v");
-        push_u64(&mut out, u64::from(Self::SCHEMA_VERSION));
-        out.push_str("\",\n");
-        let slot = digested.then(|| open_digest_slot(&mut out));
-        out.push_str("  \"metrics\": [\n");
-        for (i, m) in self.metrics.iter().enumerate() {
-            out.push_str("    {\"name\": \"");
-            crate::trace::push_escaped(&mut out, &m.name);
-            out.push_str("\", \"kind\": \"");
-            match &m.data {
-                MetricData::Counter { value } => {
-                    push_kind(&mut out, "counter", m.domain);
-                    push_field(&mut out, "value", *value);
+        json::document(bound, digested, |doc| {
+            doc.str("schema", SCHEMA);
+            doc.array("metrics", Layout::Block, |metrics| {
+                for m in &self.metrics {
+                    metrics.object(Layout::Inline, |metric| {
+                        metric.str("name", &m.name);
+                        let kind = match &m.data {
+                            MetricData::Counter { .. } => "counter",
+                            MetricData::Histogram { .. } => "histogram",
+                            MetricData::Span { .. } => "span",
+                        };
+                        metric.str("kind", kind);
+                        metric.str("domain", m.domain.label());
+                        match &m.data {
+                            MetricData::Counter { value } => metric.u64("value", *value),
+                            MetricData::Histogram {
+                                edges,
+                                counts,
+                                count,
+                                sum,
+                                min,
+                                max,
+                            } => {
+                                metric.u64s("edges", edges.iter().copied());
+                                metric.u64s("counts", counts.iter().copied());
+                                metric.u64("count", *count);
+                                metric.u64("sum", *sum);
+                                metric.u64("min", *min);
+                                metric.u64("max", *max);
+                            }
+                            MetricData::Span { total, entries } => {
+                                metric.u64("total", *total);
+                                metric.u64("entries", *entries);
+                            }
+                        }
+                    });
                 }
-                MetricData::Histogram {
-                    edges,
-                    counts,
-                    count,
-                    sum,
-                    min,
-                    max,
-                } => {
-                    push_kind(&mut out, "histogram", m.domain);
-                    out.push_str(", \"edges\": ");
-                    push_u64_array(&mut out, edges);
-                    out.push_str(", \"counts\": ");
-                    push_u64_array(&mut out, counts);
-                    push_field(&mut out, "count", *count);
-                    push_field(&mut out, "sum", *sum);
-                    push_field(&mut out, "min", *min);
-                    push_field(&mut out, "max", *max);
-                }
-                MetricData::Span { total, entries } => {
-                    push_kind(&mut out, "span", m.domain);
-                    push_field(&mut out, "total", *total);
-                    push_field(&mut out, "entries", *entries);
-                }
-            }
-            out.push_str(if i + 1 == self.metrics.len() {
-                "}\n"
-            } else {
-                "},\n"
             });
-        }
-        out.push_str("  ]\n}\n");
-        if let Some(slot) = slot {
-            fill_digest_slot(&mut out, slot);
-        }
-        out.shrink_to_fit();
-        out
+        })
     }
 
     /// Renders a human-readable listing, indenting each metric by the
@@ -228,86 +216,8 @@ impl MetricsSnapshot {
     }
 }
 
-/// Width of a digested document's digest line:
-/// `  "digest": "0x` + 16 hex digits + `",\n`.
-const DIGEST_LINE_LEN: usize = DIGEST_PLACEHOLDER.len();
-
-/// The digest line before its digits are known.
-const DIGEST_PLACEHOLDER: &str = "  \"digest\": \"0x0000000000000000\",\n";
-
-/// Where the 16 hex digits start within the digest line.
-const DIGEST_DIGITS_AT: usize = DIGEST_LINE_LEN - 16 - 3;
-
-/// Appends the digest line's placeholder to `out` and returns its
-/// offset, for [`fill_digest_slot`] once the document is complete.
-pub(crate) fn open_digest_slot(out: &mut String) -> usize {
-    let at = out.len();
-    out.push_str(DIGEST_PLACEHOLDER);
-    at
-}
-
-/// Writes into the slot at `at` the FNV-1a of every byte of `out` but
-/// the slot's own: the digest of the document rendered without the
-/// line. The line has a fixed width, so nothing moves.
-pub(crate) fn fill_digest_slot(out: &mut String, at: usize) {
-    let bytes = out.as_bytes();
-    let mut hash = crate::trace::Fnv1a::new();
-    hash.write(&bytes[..at]);
-    hash.write(&bytes[at + DIGEST_LINE_LEN..]);
-    let digest = hash.finish();
-    let mut hex = [0u8; 16];
-    for (i, digit) in hex.iter_mut().enumerate() {
-        *digit = b"0123456789abcdef"[(digest >> (60 - 4 * i)) as usize & 0xf];
-    }
-    let digits = at + DIGEST_DIGITS_AT;
-    out.replace_range(
-        digits..digits + 16,
-        std::str::from_utf8(&hex).expect("hex digits are ASCII"),
-    );
-}
-
-/// Appends `value` in decimal.
-fn push_u64(out: &mut String, mut value: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (value % 10) as u8;
-        value /= 10;
-        if value == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
-}
-
-/// Appends `[a, b, c]`.
-fn push_u64_array(out: &mut String, values: &[u64]) {
-    out.push('[');
-    for (i, &value) in values.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        push_u64(out, value);
-    }
-    out.push(']');
-}
-
-/// Appends `, "key": value`.
-fn push_field(out: &mut String, key: &str, value: u64) {
-    out.push_str(", \"");
-    out.push_str(key);
-    out.push_str("\": ");
-    push_u64(out, value);
-}
-
-/// Appends a metric's kind (after its opening quote) and domain.
-fn push_kind(out: &mut String, kind: &str, domain: Domain) {
-    out.push_str(kind);
-    out.push_str("\", \"domain\": \"");
-    out.push_str(domain.label());
-    out.push('"');
-}
+/// The schema stamp: `pbl-obs/v` and [`MetricsSnapshot::SCHEMA_VERSION`].
+const SCHEMA: &str = "pbl-obs/v1";
 
 #[cfg(test)]
 mod tests {
@@ -351,6 +261,8 @@ mod tests {
         let snap = sample_registry().snapshot();
         let with = snap.to_json_with_digest();
         assert!(with.contains(&format!("\"digest\": \"0x{:016x}\"", snap.digest())));
+        // A served result keeps the document, so it holds no spare room.
+        assert_eq!(with.capacity(), with.len());
         // Removing the digest line recovers the plain JSON byte-for-byte.
         let stripped: String = with
             .lines()
@@ -376,6 +288,14 @@ mod tests {
         assert!(odd
             .to_json_with_digest()
             .contains(&format!("\"digest\": \"0x{:016x}\"", odd.digest())));
+    }
+
+    #[test]
+    fn schema_stamp_carries_the_version() {
+        assert_eq!(
+            super::SCHEMA,
+            format!("pbl-obs/v{}", super::MetricsSnapshot::SCHEMA_VERSION)
+        );
     }
 
     #[test]

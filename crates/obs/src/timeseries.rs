@@ -30,8 +30,8 @@
 //!   every (shards × workers) cell.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
 
+use crate::json::{self, Layout};
 use crate::trace::fnv1a;
 
 /// The pseudo-shard id of cluster-level (not per-shard) series;
@@ -460,79 +460,68 @@ impl SeriesSet {
         out
     }
 
-    fn shard_label(shard: u32) -> String {
-        if shard == CLUSTER_SHARD {
-            "cluster".to_string()
-        } else {
-            shard.to_string()
-        }
-    }
-
-    /// Renders the series `filter` keeps, with the digest line's slot
-    /// after the schema line when `digested`.
+    /// Renders the series `filter` keeps, with the digest line after
+    /// the schema line when `digested`.
     fn json_of(&self, filter: impl Fn(&TimeSeries) -> bool, digested: bool) -> String {
         let picked: Vec<&TimeSeries> = self.series.values().filter(|s| filter(s)).collect();
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"pbl-ts/v1\",\n");
-        let slot = digested.then(|| crate::snapshot::open_digest_slot(&mut out));
-        out.push_str("  \"series\": [\n");
-        for (i, s) in picked.iter().enumerate() {
-            let comma = if i + 1 == picked.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{}\", \"shard\": \"{}\", \"kind\": \"{}\", \"width\": {}, \"capacity\": {}, \"invariant\": {}, \"dropped\": {}, \"points\": {}}}{comma}",
-                s.name,
-                Self::shard_label(s.shard),
-                s.kind.label(),
-                s.width,
-                s.capacity,
-                s.invariant,
-                s.dropped,
-                s.points.len(),
-            );
-        }
-        out.push_str("  ],\n");
-        // Points in the canonical (window, shard, series) merge order.
-        let mut rows: Vec<(u64, u32, &str, &TimeSeries, &WindowPoint)> = Vec::new();
-        for s in &picked {
-            for p in &s.points {
-                rows.push((p.window, s.shard, s.name.as_str(), s, p));
-            }
-        }
-        rows.sort_by_key(|&(window, shard, name, _, _)| (window, shard, name.to_string()));
-        out.push_str("  \"points\": [\n");
-        for (i, (window, shard, name, s, p)) in rows.iter().enumerate() {
-            let comma = if i + 1 == rows.len() { "" } else { "," };
-            let body = match s.kind {
-                SeriesKind::Counter | SeriesKind::Gauge => format!("\"value\": {}", p.value),
-                SeriesKind::Histogram => {
-                    let pct =
-                        |p_mille| bucket_percentile(&s.edges, &p.counts, p.count, p.max, p_mille);
-                    let counts: Vec<String> = p.counts.iter().map(u64::to_string).collect();
-                    format!(
-                        "\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"counts\": [{}]",
-                        p.count,
-                        p.sum,
-                        p.min,
-                        p.max,
-                        pct(500),
-                        pct(950),
-                        pct(990),
-                        counts.join(", "),
-                    )
+        let shards: Vec<String> = picked
+            .iter()
+            .map(|s| match s.shard {
+                CLUSTER_SHARD => "cluster".to_string(),
+                shard => shard.to_string(),
+            })
+            .collect();
+        // Points in the canonical (window, shard, series) merge order,
+        // each with the index of its series in `picked`.
+        let mut rows: Vec<(usize, &WindowPoint)> = picked
+            .iter()
+            .enumerate()
+            .flat_map(|(i, s)| s.points.iter().map(move |p| (i, p)))
+            .collect();
+        rows.sort_by_key(|&(i, p)| (p.window, picked[i].shard, picked[i].name.as_str()));
+        json::document(0, digested, |doc| {
+            doc.str("schema", "pbl-ts/v1");
+            doc.array("series", Layout::Block, |series| {
+                for (s, shard) in picked.iter().zip(&shards) {
+                    series.object(Layout::Inline, |o| {
+                        o.str("name", &s.name);
+                        o.str("shard", shard);
+                        o.str("kind", s.kind.label());
+                        o.u64("width", s.width);
+                        o.u64("capacity", s.capacity as u64);
+                        o.token("invariant", s.invariant);
+                        o.u64("dropped", s.dropped);
+                        o.u64("points", s.points.len() as u64);
+                    });
                 }
-            };
-            let _ = writeln!(
-                out,
-                "    {{\"window\": {window}, \"shard\": \"{}\", \"series\": \"{name}\", {body}}}{comma}",
-                Self::shard_label(*shard),
-            );
-        }
-        out.push_str("  ]\n}\n");
-        if let Some(slot) = slot {
-            crate::snapshot::fill_digest_slot(&mut out, slot);
-        }
-        out
+            });
+            doc.array("points", Layout::Block, |points| {
+                for &(i, p) in &rows {
+                    let s = picked[i];
+                    points.object(Layout::Inline, |o| {
+                        o.u64("window", p.window);
+                        o.str("shard", &shards[i]);
+                        o.str("series", &s.name);
+                        match s.kind {
+                            SeriesKind::Counter | SeriesKind::Gauge => o.u64("value", p.value),
+                            SeriesKind::Histogram => {
+                                let pct = |p_mille| {
+                                    bucket_percentile(&s.edges, &p.counts, p.count, p.max, p_mille)
+                                };
+                                o.u64("count", p.count);
+                                o.u64("sum", p.sum);
+                                o.u64("min", p.min);
+                                o.u64("max", p.max);
+                                o.u64("p50", pct(500));
+                                o.u64("p95", pct(950));
+                                o.u64("p99", pct(990));
+                                o.u64s("counts", p.counts.iter().copied());
+                            }
+                        }
+                    });
+                }
+            });
+        })
     }
 
     /// Serialises every series to the byte-stable `"pbl-ts/v1"` JSON:
@@ -680,6 +669,26 @@ mod tests {
         // The digest-decorated form embeds the plain digest.
         let with = set.to_json_with_digest();
         assert!(with.contains(&format!("\"digest\": \"0x{:016x}\"", set.digest())));
+    }
+
+    #[test]
+    fn names_are_escaped_and_change_the_digest() {
+        let render = |name: &str| {
+            let mut set = SeriesSet::new(1, 4);
+            set.counter(name, 0, true).record(0, 1);
+            set
+        };
+        let odd = render("jobs \"fast\"\\\n");
+        let json = odd.to_json();
+        assert!(
+            json.contains(r#"{"name": "jobs \"fast\"\\\u000a", "shard": "0""#),
+            "{json}"
+        );
+        assert!(
+            json.contains(r#""series": "jobs \"fast\"\\\u000a", "value": 1}"#),
+            "{json}"
+        );
+        assert_ne!(odd.digest(), render("jobs fast").digest());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`crate::trace::analyze`] — critical path, per-lane utilization
 //!   and a time-attribution table, plus an FNV-1a digest for CI gating.
 
-use std::fmt::Write as _;
+use crate::json::{self, Layout};
 
 pub mod analyze;
 
@@ -329,14 +329,21 @@ impl Trace {
             dropped: 0,
         };
         for buf in buffers {
-            trace.absorb(buf);
+            trace.extend(buf);
         }
+        trace.sort();
         trace
     }
 
     /// Folds one more buffer into the merged stream, keeping the stable
     /// sort order.
     pub fn absorb(&mut self, buf: TraceBuffer) {
+        self.extend(buf);
+        self.sort();
+    }
+
+    /// Appends a buffer's lane and events, unsorted.
+    fn extend(&mut self, buf: TraceBuffer) {
         self.dropped += buf.dropped;
         self.lanes.push(LaneInfo {
             id: buf.lane,
@@ -344,8 +351,12 @@ impl Trace {
             pid: 0,
             dropped: buf.dropped,
         });
-        self.lanes.sort_by_key(|l| l.id);
         self.events.extend(buf.events);
+    }
+
+    /// Restores lane-id order and the `(time, lane, seq)` event order.
+    fn sort(&mut self) {
+        self.lanes.sort_by_key(|l| l.id);
         self.events.sort_by_key(|e| (e.time, e.lane, e.seq));
     }
 
@@ -391,8 +402,7 @@ impl Trace {
             }
             lane_base += part_span;
         }
-        merged.events.sort_by_key(|e| (e.time, e.lane, e.seq));
-        merged.lanes.sort_by_key(|l| l.id);
+        merged.sort();
         merged
     }
 
@@ -426,67 +436,51 @@ impl Trace {
     /// process group and lane, and the rendering is byte-stable: the
     /// same trace always serialises to the same bytes.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"displayTimeUnit\": \"ns\",\n");
-        let _ = writeln!(
-            out,
-            "  \"otherData\": {{\"schema\": \"pbl-trace/v{}\", \"dropped\": {}}},",
-            Self::SCHEMA_VERSION,
-            self.dropped
-        );
-        out.push_str("  \"traceEvents\": [\n");
-        let mut lines: Vec<String> = Vec::new();
-        for p in &self.processes {
-            let mut line = format!(
-                "{{\"ph\": \"M\", \"pid\": {}, \"tid\": 0, \"name\": \"process_name\", \"args\": {{\"name\": \"",
-                p.pid
-            );
-            push_escaped(&mut line, &p.name);
-            line.push_str("\"}}");
-            lines.push(line);
-        }
-        for lane in &self.lanes {
-            let mut line = format!(
-                "{{\"ph\": \"M\", \"pid\": {}, \"tid\": {}, \"name\": \"thread_name\", \"args\": {{\"name\": \"",
-                lane.pid, lane.id
-            );
-            push_escaped(&mut line, &lane.name);
-            line.push_str("\"}}");
-            lines.push(line);
-        }
-        let pid_of: Vec<(u32, u32)> = self.lanes.iter().map(|l| (l.id, l.pid)).collect();
-        for ev in &self.events {
-            let pid = pid_of
-                .iter()
-                .find(|(id, _)| *id == ev.lane)
-                .map(|(_, pid)| *pid)
-                .unwrap_or(0);
-            let mut line = format!(
-                "{{\"ph\": \"{}\", \"pid\": {}, \"tid\": {}, \"ts\": {}",
-                ev.kind.phase(),
-                pid,
-                ev.lane,
-                ev.time
-            );
-            if ev.kind != EventKind::End {
-                line.push_str(", \"name\": \"");
-                push_escaped(&mut line, &ev.name);
-                let _ = write!(line, "\", \"cat\": \"{}\"", ev.category);
-                if ev.kind == EventKind::Instant {
-                    line.push_str(", \"s\": \"t\"");
+        json::document(0, false, |doc| {
+            doc.str("displayTimeUnit", "ns");
+            doc.object("otherData", Layout::Inline, |o| {
+                o.str("schema", SCHEMA);
+                o.u64("dropped", self.dropped);
+            });
+            doc.array("traceEvents", Layout::Block, |events| {
+                let metadata = |events: &mut json::Array<'_, '_>, pid, tid, kind, name: &str| {
+                    events.object(Layout::Inline, |o| {
+                        o.str("ph", "M");
+                        o.u64("pid", u64::from(pid));
+                        o.u64("tid", u64::from(tid));
+                        o.str("name", kind);
+                        o.object("args", Layout::Inline, |args| args.str("name", name));
+                    });
+                };
+                for p in &self.processes {
+                    metadata(events, p.pid, 0, "process_name", &p.name);
                 }
-                let _ = write!(line, ", \"args\": {{\"v\": {}}}", ev.value);
-            }
-            line.push('}');
-            lines.push(line);
-        }
-        for (i, line) in lines.iter().enumerate() {
-            let comma = if i + 1 == lines.len() { "" } else { "," };
-            let _ = writeln!(out, "    {line}{comma}");
-        }
-        out.push_str("  ]\n}\n");
-        out
+                for lane in &self.lanes {
+                    metadata(events, lane.pid, lane.id, "thread_name", &lane.name);
+                }
+                for ev in &self.events {
+                    // Lanes are sorted by id.
+                    let pid = self
+                        .lanes
+                        .binary_search_by_key(&ev.lane, |l| l.id)
+                        .map_or(0, |at| self.lanes[at].pid);
+                    events.object(Layout::Inline, |o| {
+                        o.str("ph", ev.kind.phase());
+                        o.u64("pid", u64::from(pid));
+                        o.u64("tid", u64::from(ev.lane));
+                        o.u64("ts", ev.time);
+                        if ev.kind != EventKind::End {
+                            o.str("name", &ev.name);
+                            o.str("cat", ev.category);
+                            if ev.kind == EventKind::Instant {
+                                o.str("s", "t");
+                            }
+                            o.object("args", Layout::Inline, |args| args.u64("v", ev.value));
+                        }
+                    });
+                }
+            });
+        })
     }
 
     /// Schema version stamped into `otherData`; bump on layout changes
@@ -499,6 +493,9 @@ impl Trace {
         fnv1a(self.to_chrome_json().as_bytes())
     }
 }
+
+/// The schema stamp: `pbl-trace/v` and [`Trace::SCHEMA_VERSION`].
+const SCHEMA: &str = "pbl-trace/v1";
 
 /// FNV-1a over a byte string: the workspace's shared determinism
 /// fingerprint (the same algorithm fingerprints metrics snapshots and
@@ -540,29 +537,6 @@ impl Default for Fnv1a {
     fn default() -> Self {
         Fnv1a::new()
     }
-}
-
-/// Appends `s` to `out` as the body of a JSON string: `"` and `\\`
-/// are backslash-escaped and control characters written as `\\u00XX`.
-/// Every byte it escapes is ASCII, so the text between two of them is
-/// copied whole.
-pub(crate) fn push_escaped(out: &mut String, s: &str) {
-    let mut rest = s;
-    while let Some(at) = rest
-        .bytes()
-        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
-    {
-        out.push_str(&rest[..at]);
-        match rest.as_bytes()[at] {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            control => {
-                let _ = write!(out, "\\u{control:04x}");
-            }
-        }
-        rest = &rest[at + 1..];
-    }
-    out.push_str(rest);
 }
 
 #[cfg(test)]
@@ -623,6 +597,11 @@ mod tests {
     }
 
     #[test]
+    fn schema_stamp_carries_the_version() {
+        assert_eq!(SCHEMA, format!("pbl-trace/v{}", Trace::SCHEMA_VERSION));
+    }
+
+    #[test]
     fn merge_renumbers_lanes_per_process() {
         let mut a = TraceBuffer::new(0, "core/0", 8);
         a.begin(0, "t0", category::SLICE, 0);
@@ -640,12 +619,5 @@ mod tests {
         assert_eq!(merged.makespan(), 10);
         assert_eq!(merged.makespan_of(1), 3);
         assert!(merged.to_chrome_json().contains("\"replicate\""));
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_controls() {
-        let mut out = String::from("x");
-        push_escaped(&mut out, "a\"b\\c\nd\u{1f}é");
-        assert_eq!(out, "xa\\\"b\\\\c\\u000ad\\u001fé");
     }
 }
