@@ -3,11 +3,14 @@
 //! single-flight day where every tenant submits the identical job so
 //! one dispatch computes and every other one joins it, and one
 //! computed job of each engine kind (a served job's whole cost,
-//! metrics JSON included). All inputs are seeded, so
-//! iteration-to-iteration work is bit-identical.
+//! metrics JSON included), and that metrics JSON on its own. All inputs
+//! are seeded, so iteration-to-iteration work is bit-identical.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+
+use parallel_rt::sim::{simulate_parallel_loop_with_metrics, CostModel, SimOptions};
+use parallel_rt::Schedule;
 
 use serve::cluster::{Cluster, ClusterConfig, HashRing};
 use serve::exec::execute;
@@ -107,6 +110,23 @@ fn bench_serve(c: &mut Criterion) {
     for (name, spec) in &jobs {
         group.bench_function(*name, |b| b.iter(|| execute(black_box(spec))));
     }
+
+    // The metrics JSON alone: a loop job's 12-metric snapshot rendered
+    // with its digest line, as every computed job's result carries it.
+    let registry = obs::Registry::new();
+    simulate_parallel_loop_with_metrics(
+        4_096,
+        &CostModel::Linear { base: 40, slope: 1 },
+        Schedule::Dynamic(16),
+        4,
+        &SimOptions::default(),
+        &registry,
+    );
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.metrics.len(), 12);
+    group.bench_function("snapshot_json_digested_12_metrics", |b| {
+        b.iter(|| black_box(&snapshot).to_json_with_digest())
+    });
 
     group.finish();
 }

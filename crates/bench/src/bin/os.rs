@@ -11,7 +11,8 @@
 //! Usage:
 //!   os [--check] [out.json]
 //!
-//! Default output path: `BENCH_os.json` in the current directory.
+//! Default output path: `BENCH_os.json` in the current directory. Any
+//! other argument starting with `-` prints the usage line and exits 2.
 //! `--check` compares the fresh document byte-for-byte against the
 //! committed file and additionally sweeps a scheduler × timeslice
 //! matrix, asserting every cell replays bit-identically and that the
@@ -20,99 +21,97 @@
 //! When `$GITHUB_STEP_SUMMARY` is set (CI), a verdict table is appended
 //! there as markdown; locally this is a no-op.
 
-use os::kernel::{Os, OsConfig, OsReport};
+use obs::json::{self, Layout};
+use os::kernel::{Os, OsConfig};
 use os::study::{
     loop_study, oversub_workload, oversubscription_study, run_oversub, study_digest, SchedKind,
 };
-use pbl_bench::summary;
+use pbl_bench::{compare_or_write, summary};
 
 const CORES: usize = 4;
 const PROCS: [usize; 3] = [4, 5, 8];
 const TIMESLICES: [u64; 3] = [20_000, 50_000, 80_000];
 
-fn max_ready_wait(r: &OsReport) -> u64 {
-    r.procs.iter().map(|p| p.max_ready_wait).max().unwrap_or(0)
-}
-
-/// One run of the P=4 cohort on a single core, for the virtual-time
-/// speedup baseline.
-fn single_core_makespan(kind: SchedKind) -> u64 {
-    run_oversub(1, 4, kind).makespan
-}
-
 fn document() -> String {
     let study = oversubscription_study(CORES, &PROCS);
     let loops = loop_study();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"os\",\n");
-    out.push_str(
-        "  \"description\": \"The OS layer's oversubscription study (P processes on 4 cores under rr/prio_rr/cfs) and the static-vs-guided loop study run as preemptible processes. Every telemetry_digest is a pinned FNV-1a report digest and must replay bit-identically; speedups are virtual-time ratios (1 core vs 4 cores) and are host-invariant.\",\n",
-    );
-    out.push_str("  \"command\": \"cargo run --release -p pbl-bench --bin os -- --check\",\n");
-    out.push_str(&format!("  \"cores\": {CORES},\n"));
-    out.push_str(
-        "  \"note\": \"fully deterministic: virtual-time simulation with (time, registration-order) tie-breaks; this file is byte-identical on every host and every run\",\n",
-    );
-    out.push_str("  \"scenarios\": [\n");
-    let mut blocks: Vec<String> = Vec::new();
-    for cell in &study.cells {
-        let r = &cell.report;
-        blocks.push(format!(
-            "    {{\n      \"name\": \"os/oversub_p{}_{}\",\n      \"procs\": {},\n      \"scheduler\": \"{}\",\n      \"makespan_vt\": {},\n      \"context_switches\": {},\n      \"involuntary_preemptions\": {},\n      \"voluntary_yields\": {},\n      \"syscalls\": {},\n      \"retired_work\": {},\n      \"max_ready_wait_vt\": {},\n      \"completion_spread_vt\": {},\n      \"telemetry_digest\": \"0x{:016x}\"\n    }}",
-            cell.procs,
-            cell.kind.label(),
-            cell.procs,
-            cell.kind.label(),
-            r.makespan,
-            r.context_switches,
-            r.involuntary_preemptions,
-            r.voluntary_yields,
-            r.syscalls,
-            r.retired_work,
-            max_ready_wait(r),
-            r.completion_spread(),
-            r.digest()
-        ));
-    }
-    for kind in SchedKind::ALL {
-        let one = single_core_makespan(kind);
-        let four = study
-            .cells
-            .iter()
-            .find(|c| c.procs == 4 && c.kind == kind)
-            .expect("P=4 cell present")
-            .report
-            .makespan;
-        blocks.push(format!(
-            "    {{\n      \"name\": \"os/speedup_p4_{}\",\n      \"makespan_1core_vt\": {},\n      \"makespan_4core_vt\": {},\n      \"speedup\": {:.4}\n    }}",
-            kind.label(),
-            one,
-            four,
-            one as f64 / four as f64
-        ));
-    }
-    blocks.push(format!(
-        "    {{\n      \"name\": \"os/loop_static_vs_guided\",\n      \"threads\": {},\n      \"iterations\": {},\n      \"static_makespan_vt\": {},\n      \"guided_makespan_vt\": {},\n      \"speedup\": {:.4},\n      \"telemetry_digest\": \"0x{:016x}\"\n    }}",
-        loops.threads,
-        loops.iterations,
-        loops.static_report.makespan,
-        loops.guided_report.makespan,
-        loops.static_report.makespan as f64 / loops.guided_report.makespan as f64,
-        loops.digest()
-    ));
-    blocks.push(format!(
-        "    {{\n      \"name\": \"os/study\",\n      \"retired_work_total\": {},\n      \"telemetry_digest\": \"0x{:016x}\"\n    }}",
-        study
-            .cells
-            .iter()
-            .map(|c| c.report.retired_work)
-            .sum::<u64>(),
-        study_digest()
-    ));
-    out.push_str(&blocks.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
+    json::document(0, false, |doc| {
+        doc.str("bench", "os");
+        doc.str(
+            "description",
+            "The OS layer's oversubscription study (P processes on 4 cores under rr/prio_rr/cfs) and the static-vs-guided loop study run as preemptible processes. Every telemetry_digest is a pinned FNV-1a report digest and must replay bit-identically; speedups are virtual-time ratios (1 core vs 4 cores) and are host-invariant.",
+        );
+        doc.str(
+            "command",
+            "cargo run --release -p pbl-bench --bin os -- --check",
+        );
+        doc.u64("cores", CORES as u64);
+        doc.str(
+            "note",
+            "fully deterministic: virtual-time simulation with (time, registration-order) tie-breaks; this file is byte-identical on every host and every run",
+        );
+        doc.array("scenarios", Layout::Block, |scenarios| {
+            for cell in &study.cells {
+                let r = &cell.report;
+                scenarios.object(Layout::Block, |o| {
+                    o.str(
+                        "name",
+                        &format!("os/oversub_p{}_{}", cell.procs, cell.kind.label()),
+                    );
+                    o.u64("procs", cell.procs as u64);
+                    o.str("scheduler", cell.kind.label());
+                    o.u64("makespan_vt", r.makespan);
+                    o.u64("context_switches", r.context_switches);
+                    o.u64("involuntary_preemptions", r.involuntary_preemptions);
+                    o.u64("voluntary_yields", r.voluntary_yields);
+                    o.u64("syscalls", r.syscalls);
+                    o.u64("retired_work", r.retired_work);
+                    let max_ready_wait = r.procs.iter().map(|p| p.max_ready_wait).max();
+                    o.u64("max_ready_wait_vt", max_ready_wait.unwrap_or(0));
+                    o.u64("completion_spread_vt", r.completion_spread());
+                    o.hex("telemetry_digest", r.digest());
+                });
+            }
+            for kind in SchedKind::ALL {
+                // The P=4 cohort on one core is the speedup's baseline.
+                let one = run_oversub(1, 4, kind).makespan;
+                let four = study
+                    .cells
+                    .iter()
+                    .find(|c| c.procs == 4 && c.kind == kind)
+                    .expect("P=4 cell present")
+                    .report
+                    .makespan;
+                scenarios.object(Layout::Block, |o| {
+                    o.str("name", &format!("os/speedup_p4_{}", kind.label()));
+                    o.u64("makespan_1core_vt", one);
+                    o.u64("makespan_4core_vt", four);
+                    o.token("speedup", format_args!("{:.4}", one as f64 / four as f64));
+                });
+            }
+            scenarios.object(Layout::Block, |o| {
+                let (fixed, guided) = (loops.static_report.makespan, loops.guided_report.makespan);
+                o.str("name", "os/loop_static_vs_guided");
+                o.u64("threads", loops.threads as u64);
+                o.u64("iterations", loops.iterations as u64);
+                o.u64("static_makespan_vt", fixed);
+                o.u64("guided_makespan_vt", guided);
+                o.token(
+                    "speedup",
+                    format_args!("{:.4}", fixed as f64 / guided as f64),
+                );
+                o.hex("telemetry_digest", loops.digest());
+            });
+            scenarios.object(Layout::Block, |o| {
+                o.str("name", "os/study");
+                o.u64(
+                    "retired_work_total",
+                    study.cells.iter().map(|c| c.report.retired_work).sum(),
+                );
+                o.hex("telemetry_digest", study_digest());
+            });
+        });
+    })
 }
 
 /// The scheduler × timeslice determinism matrix: every cell must
@@ -156,13 +155,19 @@ fn matrix_failures() -> Vec<String> {
     fails
 }
 
+fn usage() -> ! {
+    eprintln!("usage: os [--check] [out.json]");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut check = false;
     let mut out_path = "BENCH_os.json".to_string();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--check" => check = true,
-            other => out_path = other.to_string(),
+            flag if flag.starts_with('-') => usage(),
+            path => out_path = path.to_string(),
         }
     }
 
@@ -177,26 +182,16 @@ fn main() {
         ));
     }
 
-    let doc = document();
     if check {
         failures.extend(matrix_failures());
-        match std::fs::read_to_string(&out_path) {
-            Ok(committed) if committed == doc => {
-                println!("os: fresh document matches committed {out_path}");
-            }
-            Ok(_) => failures.push(format!(
-                "DRIFT: fresh document differs from committed {out_path} \
-                 (the OS layer's deterministic schedules changed — regenerate and review)"
-            )),
-            Err(e) => failures.push(format!("cannot read committed {out_path}: {e}")),
-        }
-    } else {
-        std::fs::write(&out_path, &doc).unwrap_or_else(|e| {
-            eprintln!("os: cannot write {out_path}: {e}");
-            std::process::exit(2);
-        });
-        println!("os: wrote {out_path}");
     }
+    failures.extend(compare_or_write(
+        "os",
+        &out_path,
+        &document(),
+        check,
+        "the OS layer's deterministic schedules changed — regenerate and review",
+    ));
 
     for f in &failures {
         eprintln!("os: FAILURE: {f}");

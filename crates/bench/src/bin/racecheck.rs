@@ -24,16 +24,18 @@
 //! or drift. `--shrink` prints the minimized schedule step by step.
 //! `--counterexample-out FILE` writes the minimized counterexample as
 //! a standalone JSON artifact (what CI uploads on failure — and on
-//! success, since the buggy patternlet always yields one).
+//! success, since the buggy patternlet always yields one). Any other
+//! argument starting with `-` prints the usage line and exits 2.
 //!
 //! When `$GITHUB_STEP_SUMMARY` is set (CI), the per-strategy verdict
 //! table is appended there as markdown; locally this is a no-op.
 
+use obs::json::{self, Layout};
 use parallel_rt::explore::search::{fuzz, systematic, Budget, Counterexample, StrategyReport};
 use parallel_rt::explore::shrink::{reproduces, shrink_counterexample};
 use parallel_rt::explore::vm::replay;
 use parallel_rt::race::{patternlet_program, FixStrategy};
-use pbl_bench::summary;
+use pbl_bench::{compare_or_write, summary};
 
 /// Master seed of the fuzz pass; split per schedule by
 /// `stats::rng::StreamSeeder`, the workspace-wide seed discipline.
@@ -153,134 +155,82 @@ fn oracle_failures(runs: &[StrategyRun]) -> Vec<String> {
     fails
 }
 
-fn choices_json(choices: &[usize]) -> String {
-    let inner: Vec<String> = choices.iter().map(|c| c.to_string()).collect();
-    format!("[{}]", inner.join(", "))
-}
-
 /// The minimized-counterexample artifact CI uploads.
 fn counterexample_json(run: &StrategyRun) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"program\": \"{}\",\n", run.systematic.program));
-    out.push_str(&format!("  \"strategy\": \"{:?}\",\n", run.strategy));
-    match &run.minimal {
-        Some(min) => {
-            out.push_str(&format!(
-                "  \"race_signature\": \"0x{:016x}\",\n",
-                min.race_signature
-            ));
-            out.push_str(&format!("  \"race\": \"{}\",\n", min.race));
-            out.push_str(&format!("  \"expected\": {},\n", min.expected));
-            out.push_str(&format!("  \"observed\": {},\n", min.observed));
-            out.push_str(&format!("  \"steps\": {},\n", min.steps));
-            out.push_str(&format!("  \"original_choices\": {},\n", run.original_len));
-            out.push_str(&format!(
-                "  \"minimal_choices\": {},\n",
-                choices_json(&min.choices)
-            ));
-            out.push_str(&format!(
-                "  \"trace_digest\": \"0x{:016x}\",\n",
-                min.trace_digest
-            ));
-            out.push_str(
-                "  \"replay\": \"parallel_rt::explore::vm::replay(patternlet_program(strategy, 2, 2), &minimal_choices)\"\n",
-            );
+    json::document(0, false, |doc| {
+        doc.str("program", &run.systematic.program);
+        doc.str("strategy", &format!("{:?}", run.strategy));
+        match &run.minimal {
+            Some(min) => {
+                doc.hex("race_signature", min.race_signature);
+                doc.str("race", &min.race);
+                doc.u64("expected", min.expected);
+                doc.u64("observed", min.observed);
+                doc.u64("steps", min.steps as u64);
+                doc.u64("original_choices", run.original_len as u64);
+                doc.u64s("minimal_choices", min.choices.iter().map(|&c| c as u64));
+                doc.hex("trace_digest", min.trace_digest);
+                doc.str(
+                    "replay",
+                    "parallel_rt::explore::vm::replay(patternlet_program(strategy, 2, 2), &minimal_choices)",
+                );
+            }
+            None => {
+                doc.token("counterexample", "null");
+                doc.str(
+                    "note",
+                    "program certified race-free over the explored space",
+                );
+            }
         }
-        None => {
-            out.push_str("  \"counterexample\": null,\n");
-            out.push_str("  \"note\": \"program certified race-free over the explored space\"\n");
-        }
-    }
-    out.push_str("}\n");
-    out
+    })
 }
 
 fn document(runs: &[StrategyRun], fuzz_budget: usize) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"racecheck\",\n");
-    out.push_str(
-        "  \"description\": \"Schedule-space explorer verdicts over the Assignment-2 shared-counter patternlet family: the buggy program must race, every fix must certify race-free over the exhausted schedule space, counterexamples must shrink and replay bit-identically.\",\n",
-    );
-    out.push_str(
-        "  \"command\": \"cargo run --release -p pbl-bench --bin racecheck -- --check\",\n",
-    );
-    out.push_str(&format!("  \"master_seed\": {MASTER_SEED},\n"));
-    out.push_str(&format!("  \"fuzz_budget\": {fuzz_budget},\n"));
-    out.push_str(&format!("  \"systematic_budget\": {SYSTEMATIC_BUDGET},\n"));
-    out.push_str(&format!(
-        "  \"lanes\": {LANES},\n  \"increments\": {INCREMENTS},\n"
-    ));
-    out.push_str(
-        "  \"note\": \"fully deterministic: modeled programs under a controlled scheduler in virtual time; this file is byte-identical on every host and every run\",\n",
-    );
-    out.push_str("  \"scenarios\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"name\": \"{}\",\n",
-            run.systematic.program
-        ));
-        out.push_str(&format!("      \"strategy\": \"{:?}\",\n", run.strategy));
-        out.push_str(&format!(
-            "      \"fuzz_schedules\": {},\n",
-            run.fuzz.schedules
-        ));
-        out.push_str(&format!(
-            "      \"fuzz_race_runs\": {},\n",
-            run.fuzz.race_runs
-        ));
-        out.push_str(&format!(
-            "      \"systematic_schedules\": {},\n",
-            run.systematic.schedules
-        ));
-        out.push_str(&format!(
-            "      \"space_exhausted\": {},\n",
-            run.systematic.space_exhausted
-        ));
-        out.push_str(&format!(
-            "      \"lost_update_runs\": {},\n",
-            run.systematic.lost_update_runs
-        ));
-        out.push_str(&format!(
-            "      \"distinct_races\": {},\n",
-            run.systematic.distinct_races.len()
-        ));
-        match &run.minimal {
-            Some(min) => {
-                out.push_str(&format!(
-                    "      \"race_signature\": \"0x{:016x}\",\n",
-                    min.race_signature
-                ));
-                out.push_str(&format!(
-                    "      \"minimal_choices\": {},\n",
-                    choices_json(&min.choices)
-                ));
-                out.push_str(&format!(
-                    "      \"minimal_trace_digest\": \"0x{:016x}\",\n",
-                    min.trace_digest
-                ));
+    json::document(0, false, |doc| {
+        doc.str("bench", "racecheck");
+        doc.str(
+            "description",
+            "Schedule-space explorer verdicts over the Assignment-2 shared-counter patternlet family: the buggy program must race, every fix must certify race-free over the exhausted schedule space, counterexamples must shrink and replay bit-identically.",
+        );
+        doc.str(
+            "command",
+            "cargo run --release -p pbl-bench --bin racecheck -- --check",
+        );
+        doc.u64("master_seed", MASTER_SEED);
+        doc.u64("fuzz_budget", fuzz_budget as u64);
+        doc.u64("systematic_budget", SYSTEMATIC_BUDGET as u64);
+        doc.u64("lanes", LANES as u64);
+        doc.u64("increments", INCREMENTS as u64);
+        doc.str(
+            "note",
+            "fully deterministic: modeled programs under a controlled scheduler in virtual time; this file is byte-identical on every host and every run",
+        );
+        doc.array("scenarios", Layout::Block, |scenarios| {
+            for run in runs {
+                scenarios.object(Layout::Block, |o| {
+                    o.str("name", &run.systematic.program);
+                    o.str("strategy", &format!("{:?}", run.strategy));
+                    o.u64("fuzz_schedules", run.fuzz.schedules as u64);
+                    o.u64("fuzz_race_runs", run.fuzz.race_runs as u64);
+                    o.u64("systematic_schedules", run.systematic.schedules as u64);
+                    o.token("space_exhausted", run.systematic.space_exhausted);
+                    o.u64("lost_update_runs", run.systematic.lost_update_runs as u64);
+                    o.u64("distinct_races", run.systematic.distinct_races.len() as u64);
+                    match &run.minimal {
+                        Some(min) => {
+                            o.hex("race_signature", min.race_signature);
+                            o.u64s("minimal_choices", min.choices.iter().map(|&c| c as u64));
+                            o.hex("minimal_trace_digest", min.trace_digest);
+                        }
+                        None => o.token("race_signature", "null"),
+                    }
+                    o.token("replay_bit_identical", run.replay_bit_identical);
+                    o.token("certified", run.systematic.certified());
+                });
             }
-            None => out.push_str("      \"race_signature\": null,\n"),
-        }
-        out.push_str(&format!(
-            "      \"replay_bit_identical\": {},\n",
-            run.replay_bit_identical
-        ));
-        out.push_str(&format!(
-            "      \"certified\": {}\n",
-            run.systematic.certified()
-        ));
-        out.push_str(if i + 1 == runs.len() {
-            "    }\n"
-        } else {
-            "    },\n"
         });
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    })
 }
 
 fn verdict_rows(runs: &[StrategyRun], failures: &[String]) -> Vec<Vec<String>> {
@@ -308,6 +258,14 @@ fn verdict_rows(runs: &[StrategyRun], failures: &[String]) -> Vec<Vec<String>> {
         .collect()
 }
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: racecheck [--check] [--fuzz-budget N] [--shrink] \
+         [--counterexample-out FILE] [out.json]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let mut check = false;
     let mut print_shrink = false;
@@ -331,7 +289,8 @@ fn main() {
                     std::process::exit(2);
                 }))
             }
-            other => out_path = other.to_string(),
+            flag if flag.starts_with('-') => usage(),
+            path => out_path = path.to_string(),
         }
     }
 
@@ -402,34 +361,18 @@ fn main() {
         println!("racecheck: minimized counterexample -> {path}");
     }
 
-    let doc = document(&runs, fuzz_budget);
-    let mut drifted = false;
-    if check {
-        match std::fs::read_to_string(&out_path) {
-            Ok(committed) if committed == doc => {
-                println!("racecheck: fresh document matches committed {out_path}");
-            }
-            Ok(_) => {
-                eprintln!(
-                    "racecheck: DRIFT: fresh document differs from committed {out_path} \
-                     (the explorer's deterministic verdicts changed — regenerate and review)"
-                );
-                drifted = true;
-            }
-            Err(e) => {
-                eprintln!("racecheck: cannot read committed {out_path}: {e}");
-                drifted = true;
-            }
-        }
-    } else {
-        std::fs::write(&out_path, &doc).unwrap_or_else(|e| {
-            eprintln!("racecheck: cannot write {out_path}: {e}");
-            std::process::exit(2);
-        });
-        println!("racecheck: wrote {out_path}");
+    let drift = compare_or_write(
+        "racecheck",
+        &out_path,
+        &document(&runs, fuzz_budget),
+        check,
+        "the explorer's deterministic verdicts changed — regenerate and review",
+    );
+    if let Some(f) = &drift {
+        eprintln!("racecheck: {f}");
     }
 
-    let ok = failures.is_empty() && !drifted;
+    let ok = failures.is_empty() && drift.is_none();
     summary::append_step_summary(&summary::markdown_table(
         &format!("racecheck — {}", if ok { "PASS" } else { "FAIL" }),
         &[

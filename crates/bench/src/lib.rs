@@ -17,8 +17,9 @@
 //! anything: end-to-end wall time is measured by the benchmark in
 //! `perfbench/`, and per-kernel time by the Criterion targets.
 //!
-//! This library crate only hosts small shared helpers; the substance is
-//! in the bench targets and the binaries.
+//! This library crate only hosts small shared helpers (the CI summary
+//! tables and [`compare_or_write`]); the substance is in the bench
+//! targets and the binaries.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -91,6 +92,36 @@ pub mod summary {
     }
 }
 
+/// The last step of `os` and `racecheck`: with `check`, compares `doc`
+/// with the committed file at `path` and returns the failure, `drift`
+/// saying what a difference means; otherwise writes `doc` there.
+pub fn compare_or_write(
+    bin: &str,
+    path: &str,
+    doc: &str,
+    check: bool,
+    drift: &str,
+) -> Option<String> {
+    if !check {
+        std::fs::write(path, doc).unwrap_or_else(|e| {
+            eprintln!("{bin}: cannot write {path}: {e}");
+            std::process::exit(2);
+        });
+        println!("{bin}: wrote {path}");
+        return None;
+    }
+    match std::fs::read_to_string(path) {
+        Ok(committed) if committed == doc => {
+            println!("{bin}: fresh document matches committed {path}");
+            None
+        }
+        Ok(_) => Some(format!(
+            "DRIFT: fresh document differs from committed {path} ({drift})"
+        )),
+        Err(e) => Some(format!("cannot read committed {path}: {e}")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,6 +145,24 @@ mod tests {
         assert!(is_artefact("robustness"));
         assert!(is_artefact("spring2019"));
         assert!(is_artefact("replication"));
+    }
+
+    #[test]
+    fn compare_or_write_writes_then_matches_then_reports_drift() {
+        let path = std::env::temp_dir().join(format!("pbl_bench_doc_{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        let _ = std::fs::remove_file(path);
+        let missing = compare_or_write("t", path, "{}\n", true, "why").expect("no file yet");
+        assert!(missing.starts_with("cannot read committed"), "{missing}");
+        assert_eq!(compare_or_write("t", path, "{}\n", false, "why"), None);
+        assert_eq!(std::fs::read_to_string(path).expect("written"), "{}\n");
+        assert_eq!(compare_or_write("t", path, "{}\n", true, "why"), None);
+        let drift = compare_or_write("t", path, "[]\n", true, "why").expect("differs");
+        assert!(
+            drift.starts_with("DRIFT") && drift.ends_with("(why)"),
+            "{drift}"
+        );
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]
