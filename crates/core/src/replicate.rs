@@ -169,13 +169,8 @@ impl ReplicationReport {
     /// currency of the CI determinism smoke check: two runs are
     /// bit-identical iff their digests match.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-        let mut mix = |bits: u64| {
-            for byte in bits.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = obs::trace::Fnv1a::new();
+        let mut mix = |bits: u64| h.write(&bits.to_le_bytes());
         for s in &self.summaries {
             mix(s.index as u64);
             mix(s.seed);
@@ -197,7 +192,7 @@ impl ReplicationReport {
                 mix(v.to_bits());
             }
         }
-        h
+        h.finish()
     }
 }
 
